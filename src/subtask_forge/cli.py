@@ -28,7 +28,7 @@ from .analysis import (
     subtask_distance,
     write_boundary_scores,
 )
-from .domains import build_domain, parse_domain_config, region_labels
+from .domains import DOMAINS, build_domain, parse_domain_config, region_labels
 from .errors import NUMERICAL_ERRORS
 from .factorize import (
     NmfOptions,
@@ -45,6 +45,9 @@ from .render import render_factorization_files
 from . import fileio
 
 _OPT = NmfOptions()
+#: Label kinds per domain kind that has any; the first is the purity default.
+_LABELS = {kind: list(labelers) for kind, (_, _, labelers) in DOMAINS.items()
+           if labelers}
 
 
 @dataclass
@@ -309,10 +312,11 @@ def cmd_hierarchy(domain_path, out_dir, ks, alphas, beta, seed, restarts,
 @click.argument("out_path", type=_OUT_FILE)
 @click.option("--mode", type=click.Choice(["doorways", "purity", "compare"]),
               required=True, help="Which analysis to run.")
-@click.option("--labels", type=click.Choice(["rooms", "quadrants", "blocks"]),
-              default=None,
-              help="Region labels for purity [default: rooms for rooms "
-                   "domains, blocks for taxi].")
+@click.option("--labels", default=None,
+              type=click.Choice([k for kinds in _LABELS.values() for k in kinds]),
+              help="Region labels for purity [default: " + ", ".join(
+                  f"{kinds[0]} for {kind}" for kind, kinds in _LABELS.items())
+              + " domains].")
 @click.option("--against", type=_IN_DIR, default=None,
               help="Second factorization directory (compare mode).")
 @click.option("--epsilon", type=float, default=1e-6, show_default=True,
@@ -346,7 +350,7 @@ def cmd_analyze(fact_dir, domain_path, out_path, mode, labels, against,
         write_boundary_scores(out_path, g)
         click.echo(f"wrote {out_path}: max g {g.max():.6g} at state {int(g.argmax())}")
     elif mode == "purity":
-        kind = labels or {"rooms": "rooms", "taxi": "blocks"}.get(cfg.kind)
+        kind = labels or _LABELS.get(cfg.kind, [None])[0]
         if kind is None:
             raise ValueError(f"no default region labels for {cfg.kind} domains; "
                              "pass --labels")

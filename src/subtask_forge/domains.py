@@ -12,7 +12,7 @@ in-taxi block last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy import sparse
@@ -42,6 +42,12 @@ DEFAULT_TAXI_DEPOTS = ((0, 0), (0, 4), (4, 0), (4, 4))
 # ---------------------------------------------------------------------------
 
 
+def _coerce_ints(spec, *names) -> None:
+    """Store int(value) for each named field of a frozen spec."""
+    for name in names:
+        object.__setattr__(spec, name, int(getattr(spec, name)))
+
+
 @dataclass(frozen=True)
 class RoomsSpec:
     """Grid of square rooms joined by single mid-wall doorway edges.
@@ -56,6 +62,7 @@ class RoomsSpec:
     layout: str = "grid"
 
     def __post_init__(self):
+        _coerce_ints(self, "room_rows", "room_cols", "room_size")
         if self.room_rows < 1 or self.room_cols < 1:
             raise ValueError(
                 f"rooms spec: room_rows and room_cols must be >= 1, "
@@ -90,6 +97,7 @@ class TaxiSpec:
     walls: tuple = DEFAULT_TAXI_WALLS
 
     def __post_init__(self):
+        _coerce_ints(self, "grid_side")
         g = self.grid_side
         if g < 2:
             raise ValueError(f"taxi spec: grid_side must be >= 2, got {g}")
@@ -130,6 +138,7 @@ class RingSpec:
     n: int
 
     def __post_init__(self):
+        _coerce_ints(self, "n")
         if self.n < 3:
             raise ValueError(f"ring spec: n must be >= 3, got {self.n}")
 
@@ -364,25 +373,14 @@ class DomainConfig:
     lam: float = DEFAULT_LAMBDA
 
 
-def _take(params: dict, kind: str, known: dict) -> dict:
-    """Apply defaults and reject unknown parameter names."""
-    out = dict(known)
-    for key, value in params.items():
-        if key not in known:
-            raise ValueError(f"unknown {kind} parameter {key!r}")
-        out[key] = value
-    missing = [k for k, v in out.items() if v is None]
-    if missing:
-        raise ValueError(f"{kind} spec is missing parameter {missing[0]!r}")
-    return out
-
-
 def parse_domain_config(obj) -> DomainConfig:
     if not isinstance(obj, dict):
         raise ValueError("domain config must be a JSON object")
     kind = obj.get("type")
-    if kind not in ("rooms", "taxi", "ring"):
-        raise ValueError(f"field 'type' must be 'rooms', 'taxi' or 'ring', got {kind!r}")
+    if not isinstance(kind, str) or kind not in DOMAINS:
+        raise ValueError(
+            f"field 'type' must be one of {', '.join(map(repr, DOMAINS))}, got {kind!r}"
+        )
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("field 'params' must be an object")
@@ -399,53 +397,54 @@ def parse_domain_config(obj) -> DomainConfig:
     return DomainConfig(kind=kind, params=dict(params), r_step=r_step, lam=lam)
 
 
-def _spec_from_config(cfg: DomainConfig):
-    if cfg.kind == "rooms":
-        p = _take(cfg.params, "rooms", {
-            "room_rows": None, "room_cols": None, "room_size": None,
-            "layout": "grid", "twin_weight": False,
-        })
-        spec = RoomsSpec(int(p["room_rows"]), int(p["room_cols"]),
-                         int(p["room_size"]), str(p["layout"]))
-    elif cfg.kind == "taxi":
-        p = _take(cfg.params, "taxi", {
-            "grid_side": 5,
-            "depots": DEFAULT_TAXI_DEPOTS,
-            "walls": DEFAULT_TAXI_WALLS,
-            "twin_weight": False,
-        })
-        spec = TaxiSpec(
-            int(p["grid_side"]),
-            tuple(tuple(d) for d in p["depots"]),
-            tuple((tuple(a), tuple(b)) for a, b in p["walls"]),
-        )
-    else:
-        p = _take(cfg.params, "ring", {"n": None, "twin_weight": False})
-        spec = RingSpec(int(p["n"]))
-    tw = p["twin_weight"]
-    return spec, (None if tw is False or tw is None else float(tw))
+def domain_spec(cfg: DomainConfig):
+    """``(spec, twin_weight)`` for a config; the spec's fields are its parameters.
+
+    ``twin_weight`` is None (the uniform exit share) unless the params set it.
+    """
+    spec_cls = DOMAINS[cfg.kind][0]
+    params = dict(cfg.params)
+    tw = params.pop("twin_weight", None)
+    defaults = {f.name: f.default for f in fields(spec_cls)}
+    for key in params:
+        if key not in defaults:
+            raise ValueError(f"unknown {cfg.kind} parameter {key!r}")
+    for name, default in defaults.items():
+        if default is MISSING and name not in params:
+            raise ValueError(f"{cfg.kind} spec is missing parameter {name!r}")
+    try:
+        spec = spec_cls(**params)
+        twin_weight = None if tw is None or tw is False else float(tw)
+    except TypeError as exc:
+        raise ValueError(f"{cfg.kind} spec: {exc}") from None
+    return spec, twin_weight
 
 
 def build_domain(cfg: DomainConfig) -> Lmdp:
-    spec, twin_weight = _spec_from_config(cfg)
-    builder = {"rooms": build_rooms, "taxi": build_taxi, "ring": build_ring}[cfg.kind]
-    return builder(spec, cfg.r_step, cfg.lam, twin_weight)
+    spec, twin_weight = domain_spec(cfg)
+    return DOMAINS[cfg.kind][1](spec, cfg.r_step, cfg.lam, twin_weight)
 
 
 def region_labels(cfg: DomainConfig, kind: str) -> np.ndarray:
     """Ground-truth region label per interior state for purity analysis.
 
-    ``kind`` is "rooms" or "quadrants" for rooms domains, "blocks" for taxi.
+    ``kind`` is one of the domain's label kinds in :data:`DOMAINS`.
     """
-    spec, _ = _spec_from_config(cfg)
-    if cfg.kind == "rooms":
-        if kind == "rooms":
-            return rooms_room_labels(spec)
-        if kind == "quadrants":
-            return rooms_quadrant_labels(spec)
-        raise ValueError(f"rooms domains support labels 'rooms' or 'quadrants', got {kind!r}")
-    if cfg.kind == "taxi":
-        if kind == "blocks":
-            return taxi_block_labels(spec)
-        raise ValueError(f"taxi domains support labels 'blocks', got {kind!r}")
-    raise ValueError(f"no region labels defined for {cfg.kind!r} domains")
+    spec, _ = domain_spec(cfg)
+    labelers = DOMAINS[cfg.kind][2]
+    if not labelers:
+        raise ValueError(f"no region labels defined for {cfg.kind!r} domains")
+    if kind not in labelers:
+        raise ValueError(f"{cfg.kind} domains support labels "
+                         f"{' or '.join(map(repr, labelers))}, got {kind!r}")
+    return labelers[kind](spec)
+
+
+#: kind -> (spec class, builder, {label kind: labeler}). The first label
+#: kind is the default for purity analysis.
+DOMAINS = {
+    "rooms": (RoomsSpec, build_rooms,
+              {"rooms": rooms_room_labels, "quadrants": rooms_quadrant_labels}),
+    "taxi": (TaxiSpec, build_taxi, {"blocks": taxi_block_labels}),
+    "ring": (RingSpec, build_ring, {}),
+}

@@ -16,7 +16,6 @@ per-entry terms so the traces are trustworthy at 1e-12 relative slack.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,32 +57,28 @@ def beta_divergence(A, B, beta: float) -> float:
             raise ValueError(f"beta={beta:g} requires a strictly positive second argument")
     elif np.any(B < 0):
         raise ValueError("second argument must be nonnegative")
+    if beta == 1:
+        pos = A > 0
+        if not pos.all():  # a zero entry of A contributes B there
+            return float(B[~pos].sum()) + _divergence(A[pos], B[pos], beta)
+    return _divergence(A, B, beta)
 
+
+def _divergence(A, B, beta: float) -> float:
+    """d_beta(A || B) on inputs that meet :func:`beta_divergence`'s conditions.
+
+    For beta = 1 every entry of A must be strictly positive.
+    """
     if beta == 2:
         return float(0.5 * np.square(A - B).sum())
     if beta == 1:
-        pos = A > 0
-        out = float(B[~pos].sum()) if not pos.all() else 0.0
-        a = A[pos] if not pos.all() else A
-        b = B[pos] if not pos.all() else B
-        return out + float((a * _omlp((b - a) / a)).sum())
+        return float((A * _omlp((B - A) / A)).sum())
     if beta == 0:
         return float(_omlp((A - B) / B).sum())
     c = beta * (beta - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         term = (A ** beta + (beta - 1.0) * B ** beta - beta * A * B ** (beta - 1.0)) / c
     return float(term.sum())
-
-
-def _divergence_evaluator(Z, beta):
-    """Closure computing d_beta(Z || B) for a strictly positive Z."""
-    if beta == 2:
-        return lambda B: float(0.5 * np.square(Z - B).sum())
-    if beta == 1:
-        return lambda B: float((Z * _omlp((B - Z) / Z)).sum())
-    if beta == 0:
-        return lambda B: float(_omlp((Z - B) / B).sum())
-    return lambda B: beta_divergence(Z, B, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -169,26 +164,19 @@ def _run_restart(Z, k, beta, opts, restart):
     D *= scale
     W *= scale
 
-    evaluate = _divergence_evaluator(Z, beta)
+    # nmf has checked Z; other beta values keep beta_divergence's checks on D @ W
+    divergence = _divergence if beta in (0, 1, 2) else beta_divergence
     gamma = _mu_exponent(beta)
-    trace = [evaluate(D @ W)]
+    trace = [divergence(Z, D @ W, beta)]
     converged = False
     for _ in range(opts.max_iter):
         _update_once(Z, D, W, beta, gamma)
-        d = evaluate(D @ W)
+        d = divergence(Z, D @ W, beta)
         trace.append(d)
         if trace[-2] - d <= opts.tol * max(trace[-2], _TINY):
             converged = True
             break
     return D, W, np.array(trace), converged
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SUBTASK_FORGE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _check_Z(Z) -> np.ndarray:
@@ -221,15 +209,10 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
             f"k must lie in [1, {min(Z.shape)}] for a {Z.shape[0]}x{Z.shape[1]} basis, got {k}"
         )
     beta = float(beta)
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be a finite number, got {beta}")
 
-    threads = _thread_count()
-    if threads > 1 and opts.restarts > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(
-                lambda r: _run_restart(Z, k, beta, opts, r), range(opts.restarts)
-            ))
-    else:
-        runs = [_run_restart(Z, k, beta, opts, r) for r in range(opts.restarts)]
+    runs = [_run_restart(Z, k, beta, opts, r) for r in range(opts.restarts)]
 
     best = min(range(opts.restarts), key=lambda r: (runs[r][2][-1], r))
     D, W, trace, converged = runs[best]

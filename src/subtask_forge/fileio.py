@@ -77,19 +77,24 @@ def staged_dir(final_path: str | Path):
     """Yield a staging directory that replaces ``final_path`` on success.
 
     On error the staging directory is removed and the previous contents of
-    ``final_path`` (if any) are left untouched.
+    ``final_path`` (if any) are left untouched, also when the final rename
+    fails: the old directory is moved aside first and moved back on failure.
     """
     final = Path(final_path)
     final.parent.mkdir(parents=True, exist_ok=True)
     staging = final.with_name(f".{final.name}.stage-{os.getpid()}")
-    if staging.exists():
-        shutil.rmtree(staging)
+    aside = final.with_name(f".{final.name}.old-{os.getpid()}")
+    for leftover in (staging, aside):
+        shutil.rmtree(leftover, ignore_errors=True)
     staging.mkdir()
     try:
         yield staging
+        if final.exists():
+            os.rename(final, aside)
+        os.replace(staging, final)
     except BaseException:
+        if aside.exists():  # the final rename failed: put the old output back
+            os.rename(aside, final)
         shutil.rmtree(staging, ignore_errors=True)
         raise
-    if final.exists():
-        shutil.rmtree(final)
-    os.replace(staging, final)
+    shutil.rmtree(aside, ignore_errors=True)

@@ -211,32 +211,34 @@ class _FiniteExitSystem:
         return self.g * entering
 
     def solve(self, q_b: np.ndarray) -> np.ndarray:
-        """Solve for one boundary-reward vector; validates the result."""
+        """Solve for a boundary-reward vector, or one column per task; validates."""
         z = self.lu.solve(self.rhs(q_b))
         self.check(z, q_b)
         return z
 
-    def solve_many(self, Q_b: np.ndarray) -> np.ndarray:
-        """Solve one column per task; columns of Q_b are boundary rewards."""
-        return self.lu.solve(self.rhs(Q_b))
-
-    def residual(self, z, q_b) -> np.ndarray:
-        return z - self.g * (self.L.dynamics.P_ii.T @ z + self.L.dynamics.P_bi.T @ q_b)
-
     def check(self, z: np.ndarray, q_b: np.ndarray) -> None:
-        scale = np.linalg.norm(z, np.inf) if z.size else 0.0
-        if not np.all(np.isfinite(z)) or np.any(z <= 0):
-            raise SingularSystemError(
-                "solver produced a non-positive desirability "
-                f"(estimated spectral radius {self._spectral_radius():.6g}); "
-                "the weighted interior dynamics are not contractive"
-            )
-        res = np.linalg.norm(self.residual(z, q_b), np.inf)
-        if res > max(RESIDUAL_TOL, RESIDUAL_TOL * scale):
-            raise SingularSystemError(
-                f"fixed-point residual {res:g} exceeds tolerance; system is "
-                f"ill-conditioned (estimated spectral radius {self._spectral_radius():.6g})"
-            )
+        """Raise unless z is positive and solves the fixed point for q_b.
+
+        With one column per task in z and q_b, each column is held to its own
+        tolerance and the error names the first failing one, "task t: ...".
+        """
+        Z, Q = z.reshape(len(z), -1), q_b.reshape(len(q_b), -1)
+        res = Z - self.g[:, None] * (self.L.dynamics.P_ii.T @ Z + self.L.dynamics.P_bi.T @ Q)
+        res = np.abs(res).max(axis=0, initial=0.0)
+        tol = np.maximum(RESIDUAL_TOL, RESIDUAL_TOL * np.abs(Z).max(axis=0, initial=0.0))
+        bad_sign = ~np.isfinite(Z).all(axis=0) | (Z <= 0).any(axis=0)
+        failing = np.flatnonzero(bad_sign | (res > tol))
+        if not failing.size:
+            return
+        t = failing[0]
+        if bad_sign[t]:
+            msg = ("solver produced a non-positive desirability "
+                   f"(estimated spectral radius {self._spectral_radius():.6g}); "
+                   "the weighted interior dynamics are not contractive")
+        else:
+            msg = (f"fixed-point residual {res[t]:g} exceeds tolerance; system is "
+                   f"ill-conditioned (estimated spectral radius {self._spectral_radius():.6g})")
+        raise SingularSystemError(f"task {t}: {msg}" if z.ndim == 2 else msg)
 
 
 def _check_q_b(L: Lmdp, q_b) -> np.ndarray:
@@ -345,6 +347,12 @@ def _from_triplets(obj, shape: tuple[int, int], what: str) -> sparse.csc_array:
     if not isinstance(obj, dict) or "triplets" not in obj:
         raise ValueError(f"{what} must be an object with a 'triplets' field")
     trips = obj["triplets"]
+    if not isinstance(trips, list) or not all(
+        isinstance(t, list) and len(t) == 3 and isinstance(t[0], int)
+        and isinstance(t[1], int) and isinstance(t[2], (int, float)) for t in trips
+    ):
+        raise ValueError(f"{what}: every triplet must be [row, col, value] with "
+                         "integer row and col")
     rows = [t[0] for t in trips]
     cols = [t[1] for t in trips]
     vals = [float(t[2]) for t in trips]
@@ -390,12 +398,17 @@ def save_lmdp(path, L: Lmdp) -> None:
 
 
 def load_lmdp(path) -> Lmdp:
+    """Read and validate an LMDP JSON file; invalid content raises ValueError."""
     from . import fileio
 
     obj = fileio.read_json(path)
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: LMDP JSON must be an object")
-    return lmdp_from_json_dict(obj)
+    L = lmdp_from_json_dict(obj)
+    report = validate_lmdp(L)
+    if not report.ok:
+        raise ValueError(f"{path}: invalid LMDP: {'; '.join(report.violations)}")
+    return L
 
 
 def equal_dynamics(a: PassiveDynamics, b: PassiveDynamics) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import SubtaskForgeError
 from .lmdp_core import Lmdp, _FiniteExitSystem
 
 #: Floor applied to zero entries of q_b so every desirability stays positive.
@@ -43,20 +42,12 @@ def solve_task_basis(L: Lmdp, Q, q_floor: float = DEFAULT_Q_FLOOR) -> np.ndarray
 
     Zero entries of each task column are floored at ``q_floor`` so that all
     desirabilities are strictly positive (finite values in the log domain).
-    Solver failures are re-raised with the offending task index attached.
+    A failed check names the first failing task, "task t: ...".
     """
     Q = check_task_basis(L, Q)
     if not 0 < q_floor < 1e-3:
         raise ValueError(f"q_floor must lie in (0, 1e-3), got {q_floor}")
-    Qf = np.maximum(Q, q_floor)
-    system = _FiniteExitSystem(L)
-    Z = system.solve_many(Qf)
-    for t in range(Z.shape[1]):
-        try:
-            system.check(Z[:, t], Qf[:, t])
-        except SubtaskForgeError as exc:
-            raise type(exc)(f"task {t}: {exc}") from exc
-    return Z
+    return _FiniteExitSystem(L).solve(np.maximum(Q, q_floor))
 
 
 def compose(Q, Z, q):

@@ -18,7 +18,7 @@ from .domains import (
     RingSpec,
     RoomsSpec,
     TaxiSpec,
-    _spec_from_config,
+    domain_spec,
 )
 from . import fileio
 
@@ -116,13 +116,13 @@ def _normalize(column, expected: int) -> np.ndarray:
     return v / top if top > 0 else v
 
 
+_DRAWERS = {RoomsSpec: render_rooms_svg, TaxiSpec: render_taxi_svg,
+            RingSpec: render_ring_svg}
+
+
 def render_column_svg(cfg: DomainConfig, column) -> str:
-    spec, _ = _spec_from_config(cfg)
-    if cfg.kind == "rooms":
-        return render_rooms_svg(spec, column)
-    if cfg.kind == "taxi":
-        return render_taxi_svg(spec, column)
-    return render_ring_svg(spec, column)
+    spec, _ = domain_spec(cfg)
+    return _DRAWERS[type(spec)](spec, column)
 
 
 def render_factorization_files(dir_path, cfg: DomainConfig, D) -> list[str]:

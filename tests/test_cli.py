@@ -6,12 +6,15 @@ rooms domain; the other commands and the failure modes reuse its artifacts.
 
 import hashlib
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
 from subtask_forge.cli import main
+from subtask_forge.domains import RingSpec, build_ring
 from subtask_forge.fileio import read_json
+from subtask_forge.lmdp_core import lmdp_to_json_dict
 
 ROOMS_SPEC = {
     "type": "rooms",
@@ -183,6 +186,59 @@ def test_invalid_spec_exits_2(ws, tmp_path):
     result = runner.invoke(main, ["build", str(bad), str(tmp_path / "d.json")])
     assert result.exit_code == 2
     assert "unknown domain config field 'gamma'" in result.stderr
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("taxi", {"walls": [[0, 1]]}),
+    ("rooms", {"room_rows": [1], "room_cols": 2, "room_size": 3}),
+])
+def test_spec_parameter_of_wrong_type_exits_2(tmp_path, kind, params):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": kind, "params": params}))
+    result = runner.invoke(main, ["build", str(bad), str(tmp_path / "d.json")])
+    assert result.exit_code == 2
+    assert f"{kind} spec:" in result.stderr
+
+
+def _two_element_triplet(d):
+    d["P_ii"]["triplets"][0] = d["P_ii"]["triplets"][0][:2]
+
+
+def _fractional_index(d):
+    d["P_ii"]["triplets"][0][0] = 0.6
+
+
+def _short_rewards(d):
+    d["r_interior"] = [-1.0]
+
+
+def _scaled_dynamics(d):
+    for t in d["P_ii"]["triplets"]:
+        t[2] *= 1.4
+
+
+@pytest.mark.parametrize("corrupt,match", [
+    (_two_element_triplet, r"\[row, col, value\]"),
+    (_fractional_index, "integer row and col"),
+    (_short_rewards, "r_interior has shape"),
+    (_scaled_dynamics, "column 0 sums to"),
+])
+def test_solve_rejects_invalid_lmdp(tmp_path, corrupt, match):
+    d = lmdp_to_json_dict(build_ring(RingSpec(4)))
+    corrupt(d)
+    bad = tmp_path / "lmdp.json"
+    bad.write_text(json.dumps(d))
+    result = runner.invoke(main, ["solve", str(bad), str(tmp_path / "Z.csv")])
+    assert result.exit_code == 2
+    assert re.search(match, result.stderr)
+    assert not (tmp_path / "Z.csv").exists()
+
+
+def test_non_finite_beta_exits_2(ws, tmp_path):
+    result = runner.invoke(main, ["factor", str(ws["Z"]), str(tmp_path / "f"),
+                                  "--k", "2", "--beta", "nan"])
+    assert result.exit_code == 2
+    assert "beta must be a finite number" in result.stderr
 
 
 def test_impossible_rank_exits_3(ws, tmp_path):

@@ -151,17 +151,6 @@ def test_nmf_deterministic():
     assert a.D.tobytes() != c.D.tobytes()
 
 
-def test_nmf_threaded_matches_serial(monkeypatch):
-    Z = random_positive((10, 8), seed=10)
-    opts = NmfOptions(seed=0, restarts=4, max_iter=60)
-    serial = nmf(Z, 2, 1.0, opts)
-    monkeypatch.setenv("SUBTASK_FORGE_THREADS", "4")
-    threaded = nmf(Z, 2, 1.0, opts)
-    assert serial.D.tobytes() == threaded.D.tobytes()
-    assert serial.W.tobytes() == threaded.W.tobytes()
-    assert serial.best_restart == threaded.best_restart
-
-
 def test_nmf_best_restart_is_minimum():
     from subtask_forge.factorize import _run_restart
 
@@ -190,6 +179,9 @@ def test_nmf_rejects_bad_input():
         nmf(np.zeros((3, 3)) , 1, 1.0)
     with pytest.raises(ValueError, match="2-D"):
         nmf(np.ones(5), 1, 1.0)
+    for beta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta must be a finite number"):
+            nmf(random_positive((4, 6)), 2, beta)
     with pytest.raises(ValueError, match="max_iter"):
         NmfOptions(max_iter=-1)
     with pytest.raises(ValueError, match="restarts"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subtask_forge import fileio
 from subtask_forge.fileio import (
     atomic_write_json,
     atomic_write_text,
@@ -96,3 +97,21 @@ def test_staged_dir_fresh_target(tmp_path):
     with staged_dir(final) as stage:
         (stage / "f.txt").write_text("x")
     assert (final / "f.txt").read_text() == "x"
+
+
+def test_staged_dir_failed_rename_keeps_previous_output(tmp_path, monkeypatch):
+    final = tmp_path / "out"
+    final.mkdir()
+    (final / "keep.txt").write_text("keep")
+
+    def refuse(src, dst):
+        raise OSError("simulated rename failure")
+
+    with pytest.raises(OSError, match="simulated"):
+        with staged_dir(final) as stage:
+            (stage / "fresh.txt").write_text("fresh")
+            monkeypatch.setattr(fileio.os, "replace", refuse)
+    monkeypatch.undo()
+    assert (final / "keep.txt").read_text() == "keep"
+    assert not (final / "fresh.txt").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

@@ -132,7 +132,7 @@ def test_nonuniform_rewards_batch_matches_loop():
     from subtask_forge.lmdp_core import _FiniteExitSystem
 
     sys_ = _FiniteExitSystem(L)
-    batch = sys_.solve_many(QB)
+    batch = sys_.solve(QB)
     for t in range(QB.shape[1]):
         np.testing.assert_allclose(batch[:, t], sys_.solve(QB[:, t]), rtol=1e-12)
 

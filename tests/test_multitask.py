@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
+from subtask_forge.errors import SingularSystemError
 from subtask_forge.lmdp_core import solve_finite_exit
 from subtask_forge.multitask import (
     DEFAULT_Q_FLOOR,
@@ -129,3 +130,10 @@ def test_compose_shape_errors():
         compose(Q, Z, np.ones(5))
     with pytest.raises(ValueError, match="nonnegative"):
         compose(Q, Z, np.array([1.0, -2.0, 0.0]))
+
+
+def test_failed_check_names_first_task():
+    # a positive step reward makes the weighted dynamics non-contractive
+    L = build_ring(RingSpec(4), r_step=5.0, lam=1.0)
+    with pytest.raises(SingularSystemError, match="^task 0: .*non-positive"):
+        solve_task_basis(L, build_uniform_task_basis(L))
