@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .factorize import Factorization
 from .lmdp_core import Lmdp
@@ -45,6 +44,8 @@ def subtask_distance(F1: Factorization, F2: Factorization,
     sq_a = np.square(A).sum(axis=0)
     sq_b = np.square(B).sum(axis=0)
     cost = sq_a[:, None] + sq_b[None, :] - 2.0 * (A.T @ B)
+    from scipy.optimize import linear_sum_assignment  # slow to import; deferred to its caller
+
     rows, cols = linear_sum_assignment(cost)
     return float(np.maximum(cost[rows, cols], 0.0).sum())
 

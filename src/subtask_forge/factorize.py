@@ -95,16 +95,19 @@ def _mu_exponent(beta: float) -> float:
     return 1.0 / (beta - 1.0)
 
 
-def _update_once(Z, D, W, beta, gamma):
-    """One full sweep: update D in place, then W in place."""
+def _update_once(Z, D, W, B, beta, gamma):
+    """One full sweep: update D in place, then W in place.
+
+    ``B`` is ``D @ W`` on entry, the product the caller already formed for
+    the objective; the beta = 2 update does not need it.
+    """
     if beta == 2:
         D *= (Z @ W.T) / np.maximum(D @ (W @ W.T), _TINY)
         W *= (D.T @ Z) / np.maximum((D.T @ D) @ W, _TINY)
     elif beta == 1:
-        D *= ((Z / (D @ W)) @ W.T) / np.maximum(W.sum(axis=1)[None, :], _TINY)
+        D *= ((Z / B) @ W.T) / np.maximum(W.sum(axis=1)[None, :], _TINY)
         W *= (D.T @ (Z / (D @ W))) / np.maximum(D.sum(axis=0)[:, None], _TINY)
     else:
-        B = D @ W
         num = (B ** (beta - 2.0) * Z) @ W.T
         den = np.maximum(B ** (beta - 1.0) @ W.T, _TINY)
         D *= (num / den) ** gamma if gamma != 1.0 else num / den
@@ -167,11 +170,13 @@ def _run_restart(Z, k, beta, opts, restart):
     # nmf has checked Z; other beta values keep beta_divergence's checks on D @ W
     divergence = _divergence if beta in (0, 1, 2) else beta_divergence
     gamma = _mu_exponent(beta)
-    trace = [divergence(Z, D @ W, beta)]
+    B = D @ W
+    trace = [divergence(Z, B, beta)]
     converged = False
     for _ in range(opts.max_iter):
-        _update_once(Z, D, W, beta, gamma)
-        d = divergence(Z, D @ W, beta)
+        _update_once(Z, D, W, B, beta, gamma)
+        B = D @ W
+        d = divergence(Z, B, beta)
         trace.append(d)
         if trace[-2] - d <= opts.tol * max(trace[-2], _TINY):
             converged = True

@@ -22,8 +22,8 @@ def write_matrix_csv(path: str | Path, matrix) -> None:
     if M.ndim != 2:
         raise ValueError(f"matrix CSV needs a 2-D array, got shape {M.shape}")
     lines = [f"{M.shape[0]},{M.shape[1]}\n"]
-    for row in M:
-        lines.append(",".join(repr(float(x)) for x in row) + "\n")
+    for row in M:  # row by row: a whole-matrix tolist() would hold every float at once
+        lines.append(",".join(map(repr, row.tolist())) + "\n")
     atomic_write_text(path, "".join(lines))
 
 
@@ -44,7 +44,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
         parts = line.split(",")
         if len(parts) != cols:
             raise ValueError(f"{path}: row {i} has {len(parts)} values, expected {cols}")
-        out[i] = [float(p) for p in parts]
+        out[i] = list(map(float, parts))
     return out
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import AlphaRangeError, SingularSystemError, SubtaskForgeError
 from .factorize import (
@@ -144,6 +143,8 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
     n, k = layer.base.n_interior, layer.k
     n_b = layer.base.n_boundary
     M = (sparse.identity(n, format="csc") - layer.P_ii_scaled.T).tocsc()
+    from scipy.sparse.linalg import splu  # slow to import; deferred to its caller
+
     try:
         lu = splu(M)
     except RuntimeError as exc:

@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import ConvergenceError, DegenerateNormalizerError, SingularSystemError
 
@@ -184,6 +183,8 @@ class _FiniteExitSystem:
             )
         self.M = L.dynamics.P_ii.T.multiply(self.g[:, None]).tocsc()
         A = (sparse.identity(n, format="csc") - self.M).tocsc()
+        from scipy.sparse.linalg import splu  # slow to import; deferred to its caller
+
         try:
             self.lu = splu(A)
         except RuntimeError as exc:
@@ -377,18 +378,29 @@ def lmdp_to_json_dict(L: Lmdp) -> dict:
     return out
 
 
+def _json_field(d: dict, key: str, convert):
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"LMDP JSON field '{key}': {exc}") from exc
+
+
 def lmdp_from_json_dict(d: dict) -> Lmdp:
     for key in ("n_interior", "n_boundary", "lambda", "r_interior", "P_ii", "P_bi"):
         if key not in d:
             raise ValueError(f"LMDP JSON is missing field '{key}'")
-    n_i, n_b = int(d["n_interior"]), int(d["n_boundary"])
-    labels = d.get("labels")
-    space = StateSpace(n_i, n_b, tuple(labels) if labels is not None else None)
+    n_i, n_b = _json_field(d, "n_interior", int), _json_field(d, "n_boundary", int)
+    labels = None if d.get("labels") is None else _json_field(d, "labels", tuple)
     dyn = PassiveDynamics(
         P_ii=_from_triplets(d["P_ii"], (n_i, n_i), "P_ii"),
         P_bi=_from_triplets(d["P_bi"], (n_b, n_i), "P_bi"),
     )
-    return Lmdp(space=space, dynamics=dyn, r_interior=d["r_interior"], lam=float(d["lambda"]))
+    return Lmdp(
+        space=StateSpace(n_i, n_b, labels),
+        dynamics=dyn,
+        r_interior=_json_field(d, "r_interior", lambda v: np.array(v, dtype=float)),
+        lam=_json_field(d, "lambda", float),
+    )
 
 
 def save_lmdp(path, L: Lmdp) -> None:

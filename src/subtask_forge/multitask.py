@@ -9,7 +9,6 @@ q = Qw solves to z = Zw, which is what :func:`compose` exploits.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .lmdp_core import Lmdp, _FiniteExitSystem
 
@@ -71,5 +70,7 @@ def compose(Q, Z, q):
         raise ValueError(f"q has {q.size} entries, expected {Q.shape[0]}")
     if np.any(q < 0) or not np.all(np.isfinite(q)):
         raise ValueError("q entries must be finite and nonnegative")
+    from scipy.optimize import nnls  # slow to import; deferred to its caller
+
     w, _ = nnls(Q, q)
     return w, Z @ w

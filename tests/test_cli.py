@@ -217,11 +217,20 @@ def _scaled_dynamics(d):
         t[2] *= 1.4
 
 
+def _wrong_type(field, value):
+    return pytest.param(lambda d: d.update({field: value}),
+                        f"LMDP JSON field '{field}'", id=f"{field}={value}")
+
+
 @pytest.mark.parametrize("corrupt,match", [
     (_two_element_triplet, r"\[row, col, value\]"),
     (_fractional_index, "integer row and col"),
     (_short_rewards, "r_interior has shape"),
     (_scaled_dynamics, "column 0 sums to"),
+    _wrong_type("n_interior", None),
+    _wrong_type("n_boundary", None),
+    _wrong_type("lambda", None),
+    _wrong_type("labels", 5),
 ])
 def test_solve_rejects_invalid_lmdp(tmp_path, corrupt, match):
     d = lmdp_to_json_dict(build_ring(RingSpec(4)))
