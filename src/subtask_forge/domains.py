@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy import sparse
 
 from .lmdp_core import Lmdp, PassiveDynamics, StateSpace
 
@@ -173,6 +172,8 @@ def _uniform_twin_lmdp(successors, labels, r_step, lam, twin_weight=None) -> Lmd
             rows.append(i)
             cols.append(s)
             vals.append(p_nbr)
+    from scipy import sparse  # slow to import; only LMDP commands need it
+
     P_ii = sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsc()
     P_bi = sparse.dia_array((twin_p[None, :], [0]), shape=(n, n)).tocsc()
     all_labels = tuple(labels) + tuple(f"exit:{x}" for x in labels)

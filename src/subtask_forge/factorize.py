@@ -31,9 +31,12 @@ _TINY = np.finfo(float).tiny
 # ---------------------------------------------------------------------------
 
 
-def _omlp(t):
-    """Pointwise t - log1p(t), the nonnegative kernel of the KL and IS terms."""
-    return t - np.log1p(t)
+def _omlp(t, scratch=None):
+    """Pointwise t - log1p(t), the nonnegative kernel of the KL and IS terms.
+
+    Overwrites ``t`` with the result; log1p(t) goes into ``scratch`` if given.
+    """
+    return np.subtract(t, np.log1p(t, out=scratch), out=t)
 
 
 def beta_divergence(A, B, beta: float) -> float:
@@ -64,17 +67,24 @@ def beta_divergence(A, B, beta: float) -> float:
     return _divergence(A, B, beta)
 
 
-def _divergence(A, B, beta: float) -> float:
+def _divergence(A, B, beta: float, s1=None, s2=None) -> float:
     """d_beta(A || B) on inputs that meet :func:`beta_divergence`'s conditions.
 
-    For beta = 1 every entry of A must be strictly positive.
+    For beta = 1 every entry of A must be strictly positive. ``s1`` and
+    ``s2`` are optional work arrays of A's shape that receive the
+    elementwise terms (beta = 2 uses ``s1`` only); without them each term
+    is a fresh array. Neither A nor B is written.
     """
     if beta == 2:
-        return float(0.5 * np.square(A - B).sum())
+        t = np.subtract(A, B, out=s1)
+        return float(0.5 * np.square(t, out=t).sum())
     if beta == 1:
-        return float((A * _omlp((B - A) / A)).sum())
+        t = np.subtract(B, A, out=s1)
+        np.divide(t, A, out=t)
+        return float(np.multiply(A, _omlp(t, s2), out=t).sum())
     if beta == 0:
-        return float(_omlp((A - B) / B).sum())
+        t = np.subtract(A, B, out=s1)
+        return float(_omlp(np.divide(t, B, out=t), s2).sum())
     c = beta * (beta - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         term = (A ** beta + (beta - 1.0) * B ** beta - beta * A * B ** (beta - 1.0)) / c
@@ -95,23 +105,27 @@ def _mu_exponent(beta: float) -> float:
     return 1.0 / (beta - 1.0)
 
 
-def _update_once(Z, D, W, B, beta, gamma):
+def _update_once(Z, D, W, B, beta, gamma, scratch):
     """One full sweep: update D in place, then W in place.
 
     ``B`` is ``D @ W`` on entry, the product the caller already formed for
-    the objective; the beta = 2 update does not need it.
+    the objective; the beta = 2 update does not need it. The beta = 1 and
+    general updates overwrite ``B`` with the intermediate product, and the
+    beta = 1 update writes its quotient into ``scratch[0]``.
     """
     if beta == 2:
         D *= (Z @ W.T) / np.maximum(D @ (W @ W.T), _TINY)
         W *= (D.T @ Z) / np.maximum((D.T @ D) @ W, _TINY)
     elif beta == 1:
-        D *= ((Z / B) @ W.T) / np.maximum(W.sum(axis=1)[None, :], _TINY)
-        W *= (D.T @ (Z / (D @ W))) / np.maximum(D.sum(axis=0)[:, None], _TINY)
+        Q = scratch[0]
+        D *= (np.divide(Z, B, out=Q) @ W.T) / np.maximum(W.sum(axis=1)[None, :], _TINY)
+        np.divide(Z, np.matmul(D, W, out=B), out=Q)
+        W *= (D.T @ Q) / np.maximum(D.sum(axis=0)[:, None], _TINY)
     else:
         num = (B ** (beta - 2.0) * Z) @ W.T
         den = np.maximum(B ** (beta - 1.0) @ W.T, _TINY)
         D *= (num / den) ** gamma if gamma != 1.0 else num / den
-        B = D @ W
+        np.matmul(D, W, out=B)
         num = D.T @ (B ** (beta - 2.0) * Z)
         den = np.maximum(D.T @ B ** (beta - 1.0), _TINY)
         W *= (num / den) ** gamma if gamma != 1.0 else num / den
@@ -158,25 +172,39 @@ def _restart_stream(seed: int, k: int, restart: int) -> np.random.Generator:
     return np.random.default_rng([seed, k, restart])
 
 
+#: n x N work arrays per beta: one for the beta = 2 objective, two for the
+#: beta = 1 objective (its update reuses the first). Every other beta takes
+#: the general update, which allocates its own temporaries, so arrays held
+#: across it would only raise the peak.
+_SCRATCH = {2.0: 1, 1.0: 2}
+
+
 def _run_restart(Z, k, beta, opts, restart):
     rng = _restart_stream(opts.seed, k, restart)
     n, n_tasks = Z.shape
     D = rng.uniform(0.1, 1.1, size=(n, k))
     W = rng.uniform(0.1, 1.1, size=(k, n_tasks))
-    scale = np.sqrt(Z.mean() / (D @ W).mean())
+    B = D @ W
+    scale = np.sqrt(Z.mean() / B.mean())
     D *= scale
     W *= scale
 
+    # B and the n x N work arrays live for the whole restart; each sweep
+    # writes into them. The work arrays are C-ordered like B, the layout
+    # numpy gives the temporaries they replace even when Z is Fortran-ordered
+    # (a solved basis is), so every sum and product reads the same memory
+    # order as before.
+    scratch = [np.empty(Z.shape) for _ in range(_SCRATCH.get(beta, 0))]
     # nmf has checked Z; other beta values keep beta_divergence's checks on D @ W
     divergence = _divergence if beta in (0, 1, 2) else beta_divergence
     gamma = _mu_exponent(beta)
-    B = D @ W
-    trace = [divergence(Z, B, beta)]
+    np.matmul(D, W, out=B)
+    trace = [divergence(Z, B, beta, *scratch)]
     converged = False
     for _ in range(opts.max_iter):
-        _update_once(Z, D, W, B, beta, gamma)
-        B = D @ W
-        d = divergence(Z, B, beta)
+        _update_once(Z, D, W, B, beta, gamma, scratch)
+        np.matmul(D, W, out=B)
+        d = divergence(Z, B, beta, *scratch)
         trace.append(d)
         if trace[-2] - d <= opts.tol * max(trace[-2], _TINY):
             converged = True

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import AlphaRangeError, SingularSystemError, SubtaskForgeError
 from .factorize import (
@@ -28,6 +28,9 @@ from .factorize import (
 from .lmdp_core import Lmdp, PassiveDynamics, StateSpace, load_lmdp, save_lmdp
 from .multitask import build_uniform_task_basis, solve_task_basis
 from . import fileio
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Column sums of derived higher-layer dynamics must be this close to 1
 #: before exact renormalization.
@@ -142,8 +145,10 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
         raise ValueError("deriving a higher layer needs alpha > 0")
     n, k = layer.base.n_interior, layer.k
     n_b = layer.base.n_boundary
-    M = (sparse.identity(n, format="csc") - layer.P_ii_scaled.T).tocsc()
+    from scipy import sparse
     from scipy.sparse.linalg import splu  # slow to import; deferred to its caller
+
+    M = (sparse.identity(n, format="csc") - layer.P_ii_scaled.T).tocsc()
 
     try:
         lu = splu(M)

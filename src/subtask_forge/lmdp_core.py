@@ -16,10 +16,9 @@ which is linear in ``z`` and solved here by a direct sparse factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConvergenceError, DegenerateNormalizerError, SingularSystemError
 
@@ -28,6 +27,9 @@ STOCHASTIC_TOL = 1e-12
 #: Max-norm tolerance on the desirability fixed-point residual.
 RESIDUAL_TOL = 1e-10
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -35,6 +37,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _as_csc(m, what: str) -> sparse.csc_array:
+    from scipy import sparse  # slow to import; only LMDP commands need it
+
     try:
         out = sparse.csc_array(m, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -80,6 +84,8 @@ class PassiveDynamics:
 
     def stacked(self) -> sparse.csc_array:
         """Full (n_interior + n_boundary) x n_interior transition matrix."""
+        from scipy import sparse
+
         return sparse.vstack([self.P_ii, self.P_bi], format="csc")
 
 
@@ -151,6 +157,8 @@ def validate_lmdp(L: Lmdp, max_reported: int = 8) -> ValidationReport:
             v.append(f"P_bi has shape {P_bi.shape}, expected ({n_b}, {n_i})")
         for name, m in (("P_ii", P_ii), ("P_bi", P_bi)):
             if m.nnz and m.data.size:
+                if np.isnan(m.data).any():  # NaN slips past every comparison below
+                    v.append(f"{name} has a NaN entry")
                 lo, hi = m.data.min(), m.data.max()
                 if lo < 0:
                     v.append(f"{name} has a negative entry ({lo:g})")
@@ -181,9 +189,11 @@ class _FiniteExitSystem:
             raise ValueError(
                 f"P_ii has shape {L.dynamics.P_ii.shape}, expected ({n}, {n})"
             )
+        from scipy import sparse
+        from scipy.sparse.linalg import splu  # slow to import; deferred to its caller
+
         self.M = L.dynamics.P_ii.T.multiply(self.g[:, None]).tocsc()
         A = (sparse.identity(n, format="csc") - self.M).tocsc()
-        from scipy.sparse.linalg import splu  # slow to import; deferred to its caller
 
         try:
             self.lu = splu(A)
@@ -336,6 +346,23 @@ def optimal_policy(L: Lmdp, z, q_b) -> sparse.csc_array:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; JSON true and false are not counts."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_str_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _is_number_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
 def _triplets(m: sparse.csc_array) -> list[list]:
     coo = m.tocoo()
     order = np.lexsort((coo.row, coo.col))
@@ -349,8 +376,8 @@ def _from_triplets(obj, shape: tuple[int, int], what: str) -> sparse.csc_array:
         raise ValueError(f"{what} must be an object with a 'triplets' field")
     trips = obj["triplets"]
     if not isinstance(trips, list) or not all(
-        isinstance(t, list) and len(t) == 3 and isinstance(t[0], int)
-        and isinstance(t[1], int) and isinstance(t[2], (int, float)) for t in trips
+        isinstance(t, list) and len(t) == 3 and _is_int(t[0]) and _is_int(t[1])
+        and _is_number(t[2]) for t in trips
     ):
         raise ValueError(f"{what}: every triplet must be [row, col, value] with "
                          "integer row and col")
@@ -361,6 +388,8 @@ def _from_triplets(obj, shape: tuple[int, int], what: str) -> sparse.csc_array:
         not (0 <= c < shape[1]) for c in cols
     ):
         raise ValueError(f"{what}: triplet index out of range for shape {shape}")
+    from scipy import sparse
+
     return sparse.coo_array((vals, (rows, cols)), shape=shape).tocsc()
 
 
@@ -378,19 +407,26 @@ def lmdp_to_json_dict(L: Lmdp) -> dict:
     return out
 
 
-def _json_field(d: dict, key: str, convert):
-    try:
-        return convert(d[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"LMDP JSON field '{key}': {exc}") from exc
+def _json_field(d: dict, key: str, accepts, kind: str):
+    if not accepts(d[key]):
+        raise ValueError(f"LMDP JSON field '{key}' must be {kind}, got {d[key]!r:.40}")
+    return d[key]
 
 
 def lmdp_from_json_dict(d: dict) -> Lmdp:
     for key in ("n_interior", "n_boundary", "lambda", "r_interior", "P_ii", "P_bi"):
         if key not in d:
             raise ValueError(f"LMDP JSON is missing field '{key}'")
-    n_i, n_b = _json_field(d, "n_interior", int), _json_field(d, "n_boundary", int)
-    labels = None if d.get("labels") is None else _json_field(d, "labels", tuple)
+    n_i = _json_field(d, "n_interior", _is_int, "an integer")
+    n_b = _json_field(d, "n_boundary", _is_int, "an integer")
+    labels = d.get("labels")
+    if labels is not None:
+        labels = tuple(_json_field(d, "labels", _is_str_list, "a list of strings"))
+    r = _json_field(d, "r_interior", _is_number_list, "a list of numbers")
+    # checked before the dynamics are built: their size follows n_interior,
+    # which a short file could otherwise set to billions
+    if len(r) != n_i:
+        raise ValueError(f"LMDP JSON: r_interior has shape ({len(r)},), expected ({n_i},)")
     dyn = PassiveDynamics(
         P_ii=_from_triplets(d["P_ii"], (n_i, n_i), "P_ii"),
         P_bi=_from_triplets(d["P_bi"], (n_b, n_i), "P_bi"),
@@ -398,8 +434,8 @@ def lmdp_from_json_dict(d: dict) -> Lmdp:
     return Lmdp(
         space=StateSpace(n_i, n_b, labels),
         dynamics=dyn,
-        r_interior=_json_field(d, "r_interior", lambda v: np.array(v, dtype=float)),
-        lam=_json_field(d, "lambda", float),
+        r_interior=r,
+        lam=_json_field(d, "lambda", _is_number, "a number"),
     )
 
 

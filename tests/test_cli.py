@@ -217,6 +217,14 @@ def _scaled_dynamics(d):
         t[2] *= 1.4
 
 
+def _nan_dynamics(d):
+    d["P_ii"]["triplets"][0][2] = float("nan")
+
+
+def _bool_index(d):
+    d["P_ii"]["triplets"][0][0] = True
+
+
 def _wrong_type(field, value):
     return pytest.param(lambda d: d.update({field: value}),
                         f"LMDP JSON field '{field}'", id=f"{field}={value}")
@@ -231,6 +239,13 @@ def _wrong_type(field, value):
     _wrong_type("n_boundary", None),
     _wrong_type("lambda", None),
     _wrong_type("labels", 5),
+    (_bool_index, "integer row and col"),
+    (_nan_dynamics, "P_ii has a NaN entry"),
+    _wrong_type("n_interior", 4.9),
+    _wrong_type("n_boundary", False),
+    _wrong_type("lambda", True),
+    _wrong_type("labels", "abcdefgh"),
+    _wrong_type("r_interior", [True, False, True, True]),
 ])
 def test_solve_rejects_invalid_lmdp(tmp_path, corrupt, match):
     d = lmdp_to_json_dict(build_ring(RingSpec(4)))

@@ -162,6 +162,51 @@ def test_nmf_best_restart_is_minimum():
     assert F.best_restart == int(np.argmin(finals))
 
 
+def _restart_with_temporaries(Z, k, beta, opts, restart):
+    """Reference sweep for beta 1 and 2: every term a fresh array."""
+    tiny = np.finfo(float).tiny
+    rng = np.random.default_rng([opts.seed, k, restart])
+    D = rng.uniform(0.1, 1.1, size=(Z.shape[0], k))
+    W = rng.uniform(0.1, 1.1, size=(k, Z.shape[1]))
+    scale = np.sqrt(Z.mean() / (D @ W).mean())
+    D *= scale
+    W *= scale
+
+    def objective(B):
+        if beta == 2:
+            return float(0.5 * np.square(Z - B).sum())
+        t = (B - Z) / Z
+        return float((Z * (t - np.log1p(t))).sum())
+
+    B = D @ W
+    trace = [objective(B)]
+    for _ in range(opts.max_iter):
+        if beta == 2:
+            D *= (Z @ W.T) / np.maximum(D @ (W @ W.T), tiny)
+            W *= (D.T @ Z) / np.maximum((D.T @ D) @ W, tiny)
+        else:
+            D *= ((Z / B) @ W.T) / np.maximum(W.sum(axis=1)[None, :], tiny)
+            W *= (D.T @ (Z / (D @ W))) / np.maximum(D.sum(axis=0)[:, None], tiny)
+        B = D @ W
+        trace.append(objective(B))
+    return D, W, np.array(trace)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_restart_work_arrays_match_temporaries(beta, order):
+    from subtask_forge.factorize import _run_restart
+
+    # a solved basis is Fortran-ordered; CSV-read ones are C-ordered
+    Z = np.asarray(random_positive((40, 30), seed=13), order=order)
+    opts = NmfOptions(seed=5, restarts=1, max_iter=30, tol=0.0)
+    D, W, trace, _ = _run_restart(Z, 4, beta, opts, 0)
+    D_ref, W_ref, trace_ref = _restart_with_temporaries(Z, 4, beta, opts, 0)
+    assert D.tobytes() == D_ref.tobytes()
+    assert W.tobytes() == W_ref.tobytes()
+    assert trace.tobytes() == trace_ref.tobytes()
+
+
 def test_nmf_normalized_divergence_scale_invariant():
     Z = random_positive((14, 10), seed=12)
     opts = NmfOptions(seed=1, restarts=2, max_iter=120)

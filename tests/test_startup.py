@@ -1,8 +1,9 @@
-"""Start-up cost of the CLI: solver modules load only where they are called.
+"""Start-up cost of the CLI: scipy loads only where it is called.
 
 Each CLI command runs in a fresh process, so everything the CLI imports at
 module level is paid by every command. These tests import the CLI in a clean
-interpreter and check which scipy solver modules that pulled in.
+interpreter and check which scipy modules that pulled in, and which ones the
+commands that never touch a sparse matrix pull in when they run.
 """
 
 import json
@@ -11,14 +12,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("scipy.optimize", "scipy.sparse.linalg")
+from subtask_forge.domains import build_domain, parse_domain_config
+from subtask_forge.fileio import write_matrix_csv
+from subtask_forge.multitask import build_uniform_task_basis, solve_task_basis
 
-PRELUDE = f"""
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PRELUDE = """
 import json, sys
-HEAVY = {HEAVY!r}
+def loaded(*names):
+    return sorted(m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in names))
 def heavy():
-    return sorted(m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in HEAVY))
+    return loaded("scipy.optimize", "scipy.sparse.linalg")
 """
 
 
@@ -35,9 +40,36 @@ def run_cold(body: str) -> dict:
 def test_cli_import_loads_no_solver_module():
     out = run_cold("""
 import subtask_forge.cli
-print(json.dumps({"heavy": heavy()}))
+print(json.dumps({"scipy": loaded("scipy")}))
 """)
-    assert out["heavy"] == []
+    assert out["scipy"] == []
+
+
+def test_commands_without_sparse_matrices_load_no_scipy(tmp_path):
+    spec = {"type": "rooms", "params": {"room_rows": 2, "room_cols": 2, "room_size": 2}}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    L = build_domain(parse_domain_config(spec))
+    write_matrix_csv(tmp_path / "Z.csv", solve_task_basis(L, build_uniform_task_basis(L)))
+    nmf_flags = ["--restarts", "1", "--max-iter", "20"]
+    commands = {
+        "factor": ["factor", "Z.csv", "fact", "--k", "4", *nmf_flags],
+        "select_k": ["select_k", "Z.csv", "curve.csv", "--kmax", "4", *nmf_flags],
+        "purity": ["analyze", "fact", "spec.json", "purity.json", "--mode", "purity"],
+        "render": ["render", "fact", "spec.json", "svg"],
+    }
+    out = run_cold(f"""
+import os
+from subtask_forge.cli import main
+os.chdir({str(tmp_path)!r})
+after = {{}}
+for name, args in {commands!r}.items():
+    main.main(args, standalone_mode=False)
+    after[name] = loaded("scipy")
+print(json.dumps(after))
+""")
+    assert out == {name: [] for name in commands}
+    assert (tmp_path / "purity.json").is_file()
+    assert len(list((tmp_path / "svg").glob("*.svg"))) == 4
 
 
 def test_solvers_work_after_cold_import():
