@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -361,6 +362,8 @@ def cmd_analyze(fact_dir, domain_path, out_path, mode, labels, against,
     else:
         if against is None:
             raise ValueError("--against is required with --mode compare")
+        if not math.isfinite(epsilon):
+            raise ValueError(f"--epsilon must be a finite number, got {epsilon}")
         run.input_dir(against)
         run.parameters.update(epsilon=epsilon,
                               compare_product=bool(compare_product))

@@ -393,6 +393,8 @@ def parse_domain_config(obj) -> DomainConfig:
         lam = float(obj.get("lambda", DEFAULT_LAMBDA))
     except (TypeError, ValueError):
         raise ValueError("fields 'r_step' and 'lambda' must be numbers") from None
+    if not (np.isfinite(r_step) and np.isfinite(lam)):
+        raise ValueError(f"fields 'r_step' and 'lambda' must be finite, got {r_step}, {lam}")
     if not lam > 0:
         raise ValueError(f"field 'lambda' must be positive, got {lam}")
     return DomainConfig(kind=kind, params=dict(params), r_step=r_step, lam=lam)
@@ -416,7 +418,7 @@ def domain_spec(cfg: DomainConfig):
     try:
         spec = spec_cls(**params)
         twin_weight = None if tw is None or tw is False else float(tw)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # int() of an infinite size
         raise ValueError(f"{cfg.kind} spec: {exc}") from None
     return spec, twin_weight
 

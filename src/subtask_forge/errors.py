@@ -27,6 +27,14 @@ class DegenerateNormalizerError(SubtaskForgeError):
     """The optimal-control normalizer vanished for some state."""
 
 
+class NonFiniteResultError(SubtaskForgeError):
+    """A computation ended in an infinite or NaN value.
+
+    Typical cause: input values spanning more than floating point can
+    carry through the computation, such as a basis holding both 5e-324 and 1.
+    """
+
+
 class FactorRankError(SubtaskForgeError, ValueError):
     """Requested decomposition factor is outside the feasible range."""
 
@@ -44,5 +52,6 @@ NUMERICAL_ERRORS = (
     SingularSystemError,
     ConvergenceError,
     DegenerateNormalizerError,
+    NonFiniteResultError,
     FactorRankError,
 )

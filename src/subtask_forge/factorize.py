@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorRankError
+from .errors import FactorRankError, NonFiniteResultError
 from . import fileio
 
 _TINY = np.finfo(float).tiny
@@ -141,8 +141,8 @@ class NmfOptions:
     def __post_init__(self):
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+        if not 0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be a finite number >= 0, got {self.tol}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
@@ -195,16 +195,15 @@ def _run_restart(Z, k, beta, opts, restart):
     # (a solved basis is), so every sum and product reads the same memory
     # order as before.
     scratch = [np.empty(Z.shape) for _ in range(_SCRATCH.get(beta, 0))]
-    # nmf has checked Z; other beta values keep beta_divergence's checks on D @ W
-    divergence = _divergence if beta in (0, 1, 2) else beta_divergence
     gamma = _mu_exponent(beta)
     np.matmul(D, W, out=B)
-    trace = [divergence(Z, B, beta, *scratch)]
+    # nmf has checked Z, and checks the fit for non-finite values at the end
+    trace = [_divergence(Z, B, beta, *scratch)]
     converged = False
     for _ in range(opts.max_iter):
         _update_once(Z, D, W, B, beta, gamma, scratch)
         np.matmul(D, W, out=B)
-        d = divergence(Z, B, beta, *scratch)
+        d = _divergence(Z, B, beta, *scratch)
         trace.append(d)
         if trace[-2] - d <= opts.tol * max(trace[-2], _TINY):
             converged = True
@@ -221,6 +220,30 @@ def _check_Z(Z) -> np.ndarray:
     return Z
 
 
+#: nmf leaves Z unscaled while its largest entry lies in [2^-64, 2^64]. Then
+#: the squares and reciprocal squares that the sweeps form at beta in [0, 2]
+#: stay far inside the float range, and any overflow comes from the spread
+#: of Z's entries, which no common scale can narrow.
+_UNSCALED_EXP2 = 64
+
+
+def _scale_exponent(Z) -> int:
+    """The e for which Z / 4**e has its largest entry in [0.5, 2), or 0.
+
+    0 when the largest entry already lies within 2**+-_UNSCALED_EXP2, so that
+    every such input is factorized exactly as given.
+    """
+    _, exp2 = np.frexp(Z.max())
+    return int(exp2) // 2 if abs(int(exp2)) > _UNSCALED_EXP2 else 0
+
+
+def _times_pow2(x, p: float):
+    """x * 2**p without forming 2**p, which may overflow where the product
+    does not; exact when p is an integer."""
+    n = np.floor(p)
+    return np.ldexp(x * np.exp2(p - n), int(np.clip(n, -4096, 4096)))
+
+
 def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factorization:
     """Best-of-restarts multiplicative-update factorization Z ~ D @ W.
 
@@ -233,6 +256,12 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
     The returned D has L1-normalized columns with the compensating scale
     folded into W, leaving D @ W unchanged. ``normalized_divergence`` is the
     final objective divided by d_beta(Z || mean(Z)).
+
+    A Z whose largest entry lies outside 2**+-64 is factorized as Z / 4**e
+    with that entry near 1; W is multiplied and the divergences are divided
+    back by the exact powers of two. (At beta 0, 1 and 2 the sweeps are
+    equivariant under such a scale: D comes out bit-identical.) A fit that
+    is still not finite raises :class:`NonFiniteResultError`.
     """
     opts = opts or NmfOptions()
     Z = _check_Z(Z)
@@ -245,26 +274,40 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
     if not np.isfinite(beta):
         raise ValueError(f"beta must be a finite number, got {beta}")
 
-    runs = [_run_restart(Z, k, beta, opts, r) for r in range(opts.restarts)]
+    e = _scale_exponent(Z)
+    if e:
+        Z = np.ldexp(Z, -2 * e)
+    # an overflow anywhere in the fit shows as a non-finite result, raised below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        runs = [_run_restart(Z, k, beta, opts, r) for r in range(opts.restarts)]
+        best = min(range(opts.restarts), key=lambda r: (runs[r][2][-1], r))
+        D, W, trace, converged = runs[best]
 
-    best = min(range(opts.restarts), key=lambda r: (runs[r][2][-1], r))
-    D, W, trace, converged = runs[best]
-
-    col_mass = np.maximum(D.sum(axis=0), _TINY)
-    D = D / col_mass[None, :]
-    W = W * col_mass[:, None]
+        col_mass = np.maximum(D.sum(axis=0), _TINY)
+        D = D / col_mass[None, :]
+        W = W * col_mass[:, None]
+        baseline = beta_divergence(Z, np.full_like(Z, Z.mean()), beta)
+        normalized = float(trace[-1]) / max(baseline, _TINY)
+        if e:  # undo the scale: W times 4**e, divergences times 4**(e * beta)
+            W = np.ldexp(W, 2 * e)
+            trace = _times_pow2(trace, 2.0 * e * beta)
+    divergence = float(trace[-1])
+    if not (np.isfinite(divergence) and np.isfinite(normalized)
+            and np.isfinite(D).all() and np.isfinite(W).all()):
+        raise NonFiniteResultError(
+            f"the k={k} beta={beta:g} fit is not finite (divergence {divergence:g}); "
+            "Z's entries span more than floating point can carry through the fit"
+        )
     for a in (D, W, trace):
         a.setflags(write=False)
 
-    baseline = beta_divergence(Z, np.full_like(Z, Z.mean()), beta)
-    divergence = float(trace[-1])
     return Factorization(
         D=D,
         W=W,
         beta=beta,
         k=k,
         divergence=divergence,
-        normalized_divergence=divergence / max(baseline, _TINY),
+        normalized_divergence=normalized,
         seed=opts.seed,
         restarts=opts.restarts,
         iterations=len(trace) - 1,

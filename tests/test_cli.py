@@ -157,6 +157,16 @@ def test_analyze_compare_requires_against(ws, tmp_path):
     assert "--against is required" in result.stderr
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_analyze_compare_non_finite_epsilon_exits_2(ws, tmp_path, epsilon):
+    result = runner.invoke(main, ["analyze", str(ws["fact"]), str(ws["spec"]),
+                                  str(tmp_path / "cmp.json"), "--mode", "compare",
+                                  "--against", str(ws["fact"]), "--epsilon", epsilon])
+    assert result.exit_code == 2
+    assert "--epsilon must be a finite number" in result.stderr
+    assert not (tmp_path / "cmp.json").exists()
+
+
 def test_analyze_purity_needs_labels_without_default(ws, tmp_path):
     ring_spec = tmp_path / "ring.json"
     ring_spec.write_text(json.dumps({"type": "ring", "params": {"n": 8}}))
@@ -191,6 +201,8 @@ def test_invalid_spec_exits_2(ws, tmp_path):
 @pytest.mark.parametrize("kind,params", [
     ("taxi", {"walls": [[0, 1]]}),
     ("rooms", {"room_rows": [1], "room_cols": 2, "room_size": 3}),
+    ("ring", {"n": float("inf")}),
+    ("taxi", {"depots": [[0, float("inf")], [0, 1], [1, 0], [1, 1]]}),
 ])
 def test_spec_parameter_of_wrong_type_exits_2(tmp_path, kind, params):
     bad = tmp_path / "bad.json"
@@ -198,6 +210,17 @@ def test_spec_parameter_of_wrong_type_exits_2(tmp_path, kind, params):
     result = runner.invoke(main, ["build", str(bad), str(tmp_path / "d.json")])
     assert result.exit_code == 2
     assert f"{kind} spec:" in result.stderr
+
+
+@pytest.mark.parametrize("field", ["r_step", "lambda"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_spec_number_exits_2(tmp_path, field, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"type": "ring", "params": {"n": 4}, field: value}))
+    result = runner.invoke(main, ["build", str(bad), str(tmp_path / "d.json")])
+    assert result.exit_code == 2
+    assert "must be finite" in result.stderr
+    assert not (tmp_path / "d.json").exists()
 
 
 def _two_element_triplet(d):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import benchmark_rooms, uniform_basis
-from subtask_forge.errors import FactorRankError
+from subtask_forge.errors import FactorRankError, NonFiniteResultError
 from subtask_forge.factorize import (
     Factorization,
     KSelection,
@@ -231,6 +231,78 @@ def test_nmf_rejects_bad_input():
         NmfOptions(max_iter=-1)
     with pytest.raises(ValueError, match="restarts"):
         NmfOptions(restarts=0)
+    for tol in (-1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            NmfOptions(tol=tol)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("p", [-300, 200, 1000])
+def test_nmf_prescales_extreme_basis_exactly(beta, p):
+    """Z * 2**p, with p even, factorizes as Z: D bit-identical, W times 2**p,
+    the divergence times 2**(p * beta), the normalized divergence equal."""
+    Z = uniform_basis(benchmark_rooms(2, 2, 3))
+    opts = NmfOptions(seed=1, restarts=2, max_iter=40, tol=0.0)
+    F0 = nmf(Z, 4, beta, opts)
+    if np.log2(F0.divergence) + p * beta >= 1024:  # the divergence leaves the range
+        with pytest.raises(NonFiniteResultError, match="not finite"):
+            nmf(np.ldexp(Z, p), 4, beta, opts)
+        return
+    F = nmf(np.ldexp(Z, p), 4, beta, opts)
+    assert np.array_equal(F.D, F0.D)
+    assert np.array_equal(F.W, np.ldexp(F0.W, p))
+    assert np.array_equal(F.divergence_trace, np.ldexp(F0.divergence_trace, int(p * beta)))
+    assert F.divergence == F.divergence_trace[-1]
+    assert F.normalized_divergence == F0.normalized_divergence
+
+
+def test_times_pow2_scales_without_forming_the_power():
+    from subtask_forge.factorize import _times_pow2
+
+    x = np.array([0.0, 2.0 ** -200, 3.0, 1.0])
+    with np.errstate(over="ignore"):
+        got = _times_pow2(x, 1100.0)  # 2**1100 itself is not a float
+    assert got[0] == 0.0 and got[1] == 2.0 ** 900 and np.isinf(got[2:]).all()
+    assert np.array_equal(_times_pow2(x, -40.0), np.ldexp(x, -40))
+    assert _times_pow2(np.array([1.0]), 0.5)[0] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
+def test_nmf_leaves_ordinary_basis_unscaled(monkeypatch):
+    import subtask_forge.factorize as fz
+
+    def no_scaling(*args):
+        raise AssertionError("an ordinary basis must not be rescaled")
+
+    monkeypatch.setattr(fz.np, "ldexp", no_scaling)
+    for scale in (2.0 ** -60, 1.0, 2.0 ** 60):
+        nmf(random_positive((6, 5)) * scale, 2, 1.0, NmfOptions(restarts=1, max_iter=5))
+
+
+BASE = np.random.default_rng(0).uniform(1.0, 2.0, (5, 4))
+#: name: (Z, the betas whose fit must come out finite; the others must raise)
+EXTREME = {
+    "huge": (BASE * 1e300, (0.0, 1.0, 0.5)),  # at beta 2 the divergence is ~1e600
+    "tiny": (BASE * 1e-300, (0.0, 1.0, 2.0, 0.5)),
+    "near limit beside ones": (np.array([[1.7e308, 1.0], [2.0, 3.0]]), ()),
+    "subnormal beside ones": (np.array([[5e-324, 1.0], [2.0, 3.0]]), (2.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 0.5])
+@pytest.mark.parametrize("name", sorted(EXTREME))
+def test_nmf_extreme_basis_is_fitted_or_raises(name, beta):
+    Z, finite_betas = EXTREME[name]
+    opts = NmfOptions(restarts=2, max_iter=50, tol=0.0)
+    if beta not in finite_betas:
+        with pytest.raises(NonFiniteResultError, match="not finite"):
+            nmf(Z, 1, beta, opts)
+        return
+    F = nmf(Z, 1, beta, opts)
+    assert np.isfinite([F.divergence, F.normalized_divergence]).all()
+    assert np.isfinite(F.D).all() and np.isfinite(F.W).all()
+    if name in ("huge", "tiny"):  # the same fit as at the ordinary scale
+        ref = nmf(BASE, 1, beta, opts)
+        assert F.normalized_divergence == pytest.approx(ref.normalized_divergence, rel=1e-6)
 
 
 def test_nmf_zero_iterations_records_initial_objective():

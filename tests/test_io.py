@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,168 @@ def test_matrix_csv_read_errors(tmp_path, text, match):
         read_matrix_csv(path)
 
 
+def reference_csv(M) -> bytes:
+    """The matrix CSV format written the plain way: one repr per entry."""
+    M = np.asarray(M, dtype=float)
+    lines = [f"{M.shape[0]},{M.shape[1]}\n"]
+    lines += [",".join(map(repr, row.tolist())) + "\n" for row in M]
+    return "".join(lines).encode()
+
+
+def awkward_matrix(order):
+    """Above the fork floor, an odd row count, and every awkward float."""
+    cols = 256
+    rows = fileio._FORK_MIN_ENTRIES // cols + 1
+    rows += 1 - rows % 2
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+    specials = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.5e-310, 1e-300, 1e308, -1e308]
+    M.flat[rng.choice(M.size, len(specials) * 20, replace=False)] = specials * 20
+    M[-1, -1] = np.nan  # the child's half ends on one
+    return np.asarray(M, order=order)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Split the writer on any machine; record the forks it makes."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(fileio.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(fileio.os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_split_writer_matches_reference_bytes(tmp_path, two_cpus, order):
+    M = awkward_matrix(order)
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M)
+    assert len(two_cpus) == 1
+    assert path.read_bytes() == reference_csv(M)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+    assert_no_child_left()
+    back = read_matrix_csv(path)
+    assert np.array_equal(back, M, equal_nan=True)
+    assert np.array_equal(np.signbit(back), np.signbit(M))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_one_cpu_writer_matches_reference_bytes(tmp_path, monkeypatch, order):
+    def no_fork():
+        raise AssertionError("one CPU: the writer must not fork")
+
+    monkeypatch.setattr(fileio.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(fileio.os, "fork", no_fork)
+    M = awkward_matrix(order)
+    write_matrix_csv(tmp_path / "m.csv", M)
+    assert (tmp_path / "m.csv").read_bytes() == reference_csv(M)
+
+
+def test_small_matrix_is_not_split(tmp_path, two_cpus):
+    M = np.arange(12.0).reshape(3, 4)
+    write_matrix_csv(tmp_path / "m.csv", M)
+    assert two_cpus == []
+    assert (tmp_path / "m.csv").read_bytes() == reference_csv(M)
+
+
+def _child_exits_1(fd, M, start, stop):
+    os.write(fd, b"garbage")
+    os._exit(1)
+
+
+def _child_killed(fd, M, start, stop):
+    os.write(fd, b"garbage")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _no_fork():
+    raise OSError("simulated: no process to spare")
+
+
+@pytest.mark.parametrize("attr,failure", [
+    ("_child_write_rows", _child_exits_1),
+    ("_child_write_rows", _child_killed),
+    ("fork", _no_fork),
+])
+def test_failed_child_half_is_formatted_by_parent(tmp_path, two_cpus, monkeypatch,
+                                                  attr, failure):
+    monkeypatch.setattr(fileio.os if attr == "fork" else fileio, attr, failure)
+    M = awkward_matrix("F")
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M)
+    assert path.read_bytes() == reference_csv(M)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+    assert_no_child_left()
+
+
+def test_failed_parent_half_leaves_no_litter_and_no_child(tmp_path, two_cpus, monkeypatch):
+    real_write_rows = fileio._write_rows
+
+    def parent_fails(fh, M, start, stop):
+        if start == 0:  # the parent's half; the child formats from the middle
+            fh.write(b"partial")
+            raise RuntimeError("simulated failure mid-write")
+        real_write_rows(fh, M, start, stop)
+
+    monkeypatch.setattr(fileio, "_write_rows", parent_fails)
+    path = tmp_path / "m.csv"
+    path.write_text("old")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        write_matrix_csv(path, awkward_matrix("C"))
+    assert len(two_cpus) == 1
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+    assert_no_child_left()
+
+
+def test_reader_returns_owned_c_contiguous_float64(tmp_path):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, np.asfortranarray(np.arange(1.0, 7.0).reshape(2, 3)))
+    Z = read_matrix_csv(path)
+    assert Z.dtype == np.float64 and Z.shape == (2, 3)
+    assert Z.flags.c_contiguous and Z.flags.owndata
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("2,2\n1.0,2.0\n\n3.0,4.0\n\n", [[1.0, 2.0], [3.0, 4.0]]),  # empty lines skipped
+    ("2,2\r\n1.0,2.0\r\n3.0,4.0\r\n", [[1.0, 2.0], [3.0, 4.0]]),  # CRLF
+    ("2,2\n1.0,2.0\n3.0,4.0", [[1.0, 2.0], [3.0, 4.0]]),  # no final newline
+    ("1,3\n 1.0 ,+2,-3e0\n", [[1.0, 2.0, -3.0]]),  # blanks and signs
+    ("0,3\n", np.empty((0, 3))),
+])
+def test_matrix_csv_accepted_syntax(tmp_path, text, expected):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    Z = read_matrix_csv(path)
+    assert Z.shape == np.shape(expected) and np.array_equal(Z, expected)
+
+
+@pytest.mark.parametrize("text,match", [
+    ("1,2\n1_0,2.0\n", "could not convert string '1_0'"),  # float() takes it
+    ("1,2\n\uff11,2.0\n", "could not convert string"),  # fullwidth digit one
+    ("1,2\n1.0, \n", "could not convert string"),
+    ("2,2\n1.0,2.0\n3.0\n", "row 1 has 1 values, expected 2"),
+    ("2,2\n1.0,2.0\n \n", "row 1 has 1 values, expected 2"),  # blanks are no empty line
+    ("-1,2\n", "bad header"),
+])
+def test_matrix_csv_rejected_syntax(tmp_path, text, match):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=match):
+        read_matrix_csv(path)
+
+
 def test_atomic_write_replaces_and_leaves_no_litter(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("old")
@@ -57,6 +222,13 @@ def test_atomic_write_creates_parents(tmp_path):
     path = tmp_path / "a" / "b" / "out.txt"
     atomic_write_text(path, "x")
     assert path.read_text() == "x"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_writer_refuses_non_finite_numbers(tmp_path, value):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        atomic_write_json(tmp_path / "o.json", {"x": [1.0, value]})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_roundtrip(tmp_path):
