@@ -41,6 +41,20 @@ DEFAULT_TAXI_DEPOTS = ((0, 0), (0, 4), (4, 0), (4, 4))
 # ---------------------------------------------------------------------------
 
 
+#: Most interior states a spec may describe. The dense task basis has one
+#: float64 per pair of states, so 2**14 states already take 2 GB.
+MAX_STATES = 2 ** 14
+
+
+def _check_states(kind: str, n_states: int) -> None:
+    """Reject a spec with more than MAX_STATES interior states, before anything
+    of that size is allocated."""
+    if n_states > MAX_STATES:
+        raise ValueError(
+            f"{kind} spec: {n_states} interior states exceed the limit of {MAX_STATES}"
+        )
+
+
 def _coerce_ints(spec, *names) -> None:
     """Store int(value) for each named field of a frozen spec."""
     for name in names:
@@ -69,6 +83,7 @@ class RoomsSpec:
             )
         if self.room_size < 2:
             raise ValueError(f"rooms spec: room_size must be >= 2, got {self.room_size}")
+        _check_states("rooms", self.n_cells)
         if self.layout not in ("grid", "snake"):
             raise ValueError(
                 f"rooms spec: layout must be 'grid' or 'snake', got {self.layout!r}"
@@ -103,6 +118,7 @@ class TaxiSpec:
         depots = tuple((int(r), int(c)) for r, c in self.depots)
         if len(depots) != 4:
             raise ValueError(f"taxi spec: exactly 4 depots required, got {len(depots)}")
+        _check_states("taxi", g * g * (len(depots) + 1))
         if len(set(depots)) != 4:
             raise ValueError("taxi spec: depots must be distinct")
         for r, c in depots:
@@ -140,6 +156,7 @@ class RingSpec:
         _coerce_ints(self, "n")
         if self.n < 3:
             raise ValueError(f"ring spec: n must be >= 3, got {self.n}")
+        _check_states("ring", self.n)
 
 
 # ---------------------------------------------------------------------------

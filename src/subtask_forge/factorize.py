@@ -10,7 +10,11 @@ each task leans on each subtask.
 Minimization is by multiplicative updates with the majorization-minimization
 exponent, which keeps every recorded objective trace non-increasing for the
 three named beta values. Divergences are evaluated with cancellation-free
-per-entry terms so the traces are trustworthy at 1e-12 relative slack.
+per-entry terms so the traces are trustworthy at 1e-12 relative slack. The
+one exception is the beta = 1 trace while a restart's value lies above
+2**-7 (sum(Z) + sum(D @ W)): there it is taken in quotient form from the
+Z / (D @ W) that the next update needs anyway, with an error of at most
+about 2e-13 relative, and below that floor from the cancellation-free terms.
 """
 
 from __future__ import annotations
@@ -31,12 +35,22 @@ _TINY = np.finfo(float).tiny
 # ---------------------------------------------------------------------------
 
 
-def _omlp(t, scratch=None):
-    """Pointwise t - log1p(t), the nonnegative kernel of the KL and IS terms.
+def _omlp(t, num, den, scratch=None):
+    """Pointwise t - log1p(t) for t = num / den - 1, the nonnegative kernel of
+    the KL and IS terms.
 
     Overwrites ``t`` with the result; log1p(t) goes into ``scratch`` if given.
+    Where t < -0.5 the term is (r - 1) - log r with r = num / den formed
+    afresh on those entries only: t there has lost the low digits of r, and
+    rounds to -1 (log1p(-1) = -inf) once r falls below about 2**-53.
     """
-    return np.subtract(t, np.log1p(t, out=scratch), out=t)
+    low = np.less(t, -0.5)
+    with np.errstate(divide="ignore"):  # t = -1 is among the entries redone below
+        np.subtract(t, np.log1p(t, out=scratch), out=t)
+    if low.any():
+        r = num[low] / den[low]
+        t[low] = (r - 1.0) - np.log(r)
+    return t
 
 
 def beta_divergence(A, B, beta: float) -> float:
@@ -81,10 +95,10 @@ def _divergence(A, B, beta: float, s1=None, s2=None) -> float:
     if beta == 1:
         t = np.subtract(B, A, out=s1)
         np.divide(t, A, out=t)
-        return float(np.multiply(A, _omlp(t, s2), out=t).sum())
+        return float(np.multiply(A, _omlp(t, B, A, s2), out=t).sum())
     if beta == 0:
         t = np.subtract(A, B, out=s1)
-        return float(_omlp(np.divide(t, B, out=t), s2).sum())
+        return float(_omlp(np.divide(t, B, out=t), A, B, s2).sum())
     c = beta * (beta - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         term = (A ** beta + (beta - 1.0) * B ** beta - beta * A * B ** (beta - 1.0)) / c
@@ -105,20 +119,21 @@ def _mu_exponent(beta: float) -> float:
     return 1.0 / (beta - 1.0)
 
 
-def _update_once(Z, D, W, B, beta, gamma, scratch):
+def _update_once(Z, D, W, B, beta, gamma, scratch, quotient):
     """One full sweep: update D in place, then W in place.
 
     ``B`` is ``D @ W`` on entry, the product the caller already formed for
     the objective; the beta = 2 update does not need it. The beta = 1 and
     general updates overwrite ``B`` with the intermediate product, and the
-    beta = 1 update writes its quotient into ``scratch[0]``.
+    beta = 1 update writes its quotient Z / B into ``scratch[0]``; with
+    ``quotient`` set, ``scratch[0]`` already holds Z / B on entry.
     """
     if beta == 2:
         D *= (Z @ W.T) / np.maximum(D @ (W @ W.T), _TINY)
         W *= (D.T @ Z) / np.maximum((D.T @ D) @ W, _TINY)
     elif beta == 1:
-        Q = scratch[0]
-        D *= (np.divide(Z, B, out=Q) @ W.T) / np.maximum(W.sum(axis=1)[None, :], _TINY)
+        Q = scratch[0] if quotient else np.divide(Z, B, out=scratch[0])
+        D *= (Q @ W.T) / np.maximum(W.sum(axis=1)[None, :], _TINY)
         np.divide(Z, np.matmul(D, W, out=B), out=Q)
         W *= (D.T @ Q) / np.maximum(D.sum(axis=0)[:, None], _TINY)
     else:
@@ -129,6 +144,33 @@ def _update_once(Z, D, W, B, beta, gamma, scratch):
         num = D.T @ (B ** (beta - 2.0) * Z)
         den = np.maximum(D.T @ B ** (beta - 1.0), _TINY)
         W *= (num / den) ** gamma if gamma != 1.0 else num / den
+
+
+#: The beta = 1 objective in quotient form cancels: its error was measured at
+#: most 7 eps (sum(Z) + sum(B)) / d. A restart whose value falls below this
+#: fraction of sum(Z) + sum(B) takes the cancellation-free terms from then on,
+#: which keeps the quotient form's error at or below about 2e-13 relative.
+_QUOTIENT_FLOOR = 2.0 ** -7
+
+
+def _objective(Z, D, W, B, beta, scratch, sum_Z):
+    """d_beta(Z || B) for B = D @ W, and whether ``scratch[0]`` now holds Z / B.
+
+    With ``sum_Z`` (sum(Z); None except at beta = 1) the value is taken in
+    quotient form, sum(Z log(Z / B)) - sum(Z) + sum(B), from the quotient the
+    next D update needs anyway; sum(B) is colsum(D) . rowsum(W). Below the
+    floor, or with ``sum_Z`` None, it is the cancellation-free
+    :func:`_divergence`, which overwrites the work arrays.
+    """
+    if sum_Z is not None:
+        Q = np.divide(Z, B, out=scratch[0])
+        sum_B = float(D.sum(axis=0) @ W.sum(axis=1))
+        # np.einsum, not a BLAS dot: np.vdot here was measured many times
+        # slower inside the hierarchy command than inside factor
+        d = float(np.einsum("ij,ij->", Z, np.log(Q, out=scratch[1]))) - sum_Z + sum_B
+        if d >= _QUOTIENT_FLOOR * (sum_Z + sum_B):
+            return d, True
+    return _divergence(Z, B, beta, *scratch), False
 
 
 @dataclass(frozen=True)
@@ -173,7 +215,8 @@ def _restart_stream(seed: int, k: int, restart: int) -> np.random.Generator:
 
 
 #: n x N work arrays per beta: one for the beta = 2 objective, two for the
-#: beta = 1 objective (its update reuses the first). Every other beta takes
+#: beta = 1 objective (the quotient Z / B, which its update reuses, and its
+#: log; or the cancellation-free terms). Every other beta takes
 #: the general update, which allocates its own temporaries, so arrays held
 #: across it would only raise the peak.
 _SCRATCH = {2.0: 1, 1.0: 2}
@@ -190,20 +233,23 @@ def _run_restart(Z, k, beta, opts, restart):
     W *= scale
 
     # B and the n x N work arrays live for the whole restart; each sweep
-    # writes into them. The work arrays are C-ordered like B, the layout
-    # numpy gives the temporaries they replace even when Z is Fortran-ordered
-    # (a solved basis is), so every sum and product reads the same memory
-    # order as before.
+    # writes into them. nmf hands in a C-ordered Z, the order of B and the
+    # work arrays, so every elementwise pass reads all three in step.
     scratch = [np.empty(Z.shape) for _ in range(_SCRATCH.get(beta, 0))]
     gamma = _mu_exponent(beta)
+    # quotient form at beta = 1 until the value nears its cancellation floor
+    sum_Z = float(Z.sum()) if beta == 1 else None
     np.matmul(D, W, out=B)
     # nmf has checked Z, and checks the fit for non-finite values at the end
-    trace = [_divergence(Z, B, beta, *scratch)]
+    d, quotient = _objective(Z, D, W, B, beta, scratch, sum_Z)
+    trace = [d]
     converged = False
     for _ in range(opts.max_iter):
-        _update_once(Z, D, W, B, beta, gamma, scratch)
+        if not quotient:  # once below the floor, the restart stays there
+            sum_Z = None
+        _update_once(Z, D, W, B, beta, gamma, scratch, quotient)
         np.matmul(D, W, out=B)
-        d = _divergence(Z, B, beta, *scratch)
+        d, quotient = _objective(Z, D, W, B, beta, scratch, sum_Z)
         trace.append(d)
         if trace[-2] - d <= opts.tol * max(trace[-2], _TINY):
             converged = True
@@ -212,7 +258,7 @@ def _run_restart(Z, k, beta, opts, restart):
 
 
 def _check_Z(Z) -> np.ndarray:
-    Z = np.asarray(Z, dtype=float)
+    Z = np.ascontiguousarray(Z, dtype=float)
     if Z.ndim != 2 or min(Z.shape) < 1:
         raise ValueError(f"Z must be a nonempty 2-D matrix, got shape {Z.shape}")
     if not np.all(np.isfinite(Z)) or np.any(Z <= 0):

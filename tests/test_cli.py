@@ -7,6 +7,7 @@ rooms domain; the other commands and the failure modes reuse its artifacts.
 import hashlib
 import json
 import re
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -220,6 +221,23 @@ def test_non_finite_spec_number_exits_2(tmp_path, field, value):
     result = runner.invoke(main, ["build", str(bad), str(tmp_path / "d.json")])
     assert result.exit_code == 2
     assert "must be finite" in result.stderr
+    assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("kind,params,states", [
+    ("ring", {"n": 1e9}, 10 ** 9),
+    ("rooms", {"room_rows": 2, "room_cols": 2, "room_size": 1e5}, 4 * 10 ** 10),
+    ("taxi", {"grid_side": 1e4}, 5 * 10 ** 8),
+])
+def test_oversized_spec_exits_2_at_once(tmp_path, kind, params, states):
+    # the spec is refused from its fields alone, before any state is built
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({"type": kind, "params": params}))
+    t0 = time.perf_counter()
+    result = runner.invoke(main, ["build", str(bad), str(tmp_path / "d.json")])
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 2
+    assert f"{kind} spec: {states} interior states exceed the limit of 16384" in result.stderr
     assert not (tmp_path / "d.json").exists()
 
 

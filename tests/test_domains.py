@@ -189,6 +189,20 @@ def test_spec_validation_messages():
         RingSpec(2)
 
 
+def test_spec_state_count_limit():
+    # 2**14 interior states are allowed, one more is refused by count
+    assert RingSpec(2 ** 14).n == 2 ** 14
+    assert RoomsSpec(1, 1, 128).n_cells == 2 ** 14
+    with pytest.raises(ValueError, match="ring spec: 16385 interior states exceed"):
+        RingSpec(2 ** 14 + 1)
+    with pytest.raises(ValueError, match="rooms spec: 16641 interior states"):
+        RoomsSpec(1, 1, 129)
+    # taxi: grid_side**2 cells times 5 passenger locations
+    TaxiSpec(grid_side=57)  # 16245 states
+    with pytest.raises(ValueError, match="taxi spec: 16820 interior states"):
+        TaxiSpec(grid_side=58)
+
+
 def test_twin_weight_range():
     with pytest.raises(ValueError, match="twin_weight"):
         build_ring(RingSpec(4), twin_weight=0.0)

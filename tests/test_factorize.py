@@ -105,6 +105,17 @@ def test_divergence_tiny_ratio_accuracy():
     assert got > 0.0
 
 
+def test_divergence_keeps_tiny_ratios_finite():
+    # B/A - 1 (IS: A/B - 1) rounds to -1 once the ratio falls below about
+    # 2**-53, and log1p(-1) = -inf; such entries are taken as (r - 1) - log r
+    kl = 2.0 * np.log(1e17) - 2.0 + 2e-17  # about 76.2879
+    assert beta_divergence([[2.0, 1.0]], [[2e-17, 1.0]], 1.0) == pytest.approx(kl, rel=1e-14)
+    itakura_saito = 1e-17 - np.log(1e-17) - 1.0  # about 38.144
+    assert beta_divergence([[2e-17, 1.0]], [[2.0, 1.0]], 0.0) == pytest.approx(
+        itakura_saito, rel=1e-14
+    )
+
+
 # ---------------------------------------------------------------------------
 # multiplicative updates
 # ---------------------------------------------------------------------------
@@ -175,8 +186,9 @@ def _restart_with_temporaries(Z, k, beta, opts, restart):
     def objective(B):
         if beta == 2:
             return float(0.5 * np.square(Z - B).sum())
-        t = (B - Z) / Z
-        return float((Z * (t - np.log1p(t))).sum())
+        # quotient form: sum(Z log(Z / B)) - sum(Z) + colsum(D) . rowsum(W)
+        return (float(np.einsum("ij,ij->", Z, np.log(Z / B))) - float(Z.sum())
+                + float(D.sum(axis=0) @ W.sum(axis=1)))
 
     B = D @ W
     trace = [objective(B)]
@@ -205,6 +217,59 @@ def test_restart_work_arrays_match_temporaries(beta, order):
     assert D.tobytes() == D_ref.tobytes()
     assert W.tobytes() == W_ref.tobytes()
     assert trace.tobytes() == trace_ref.tobytes()
+
+
+def test_kl_guard_switches_once_and_keeps_the_exact_fit_floor(monkeypatch):
+    import subtask_forge.factorize as fz
+
+    forms = []  # per recorded value: True for the quotient form
+    objective = fz._objective
+
+    def recording(*args):
+        d, quotient = objective(*args)
+        forms.append(quotient)
+        return d, quotient
+
+    monkeypatch.setattr(fz, "_objective", recording)
+    rng = np.random.default_rng(1)
+    Z = rng.uniform(0.0, 1.0, (20, 4)) @ rng.uniform(0.0, 1.0, (4, 16))
+    F = nmf(Z, 4, 1.0, NmfOptions(seed=0, restarts=1, max_iter=20000, tol=1e-12))
+    switch = forms.index(False)
+    assert switch > 0 and not any(forms[switch:])
+    assert len(forms) == F.divergence_trace.size
+    assert F.divergence_trace[-1] < 1e-25
+
+
+@pytest.mark.parametrize("basis,k", [("rooms_Z", 16), ("taxi_Z", 5)])
+def test_kl_trace_matches_beta_divergence(request, basis, k):
+    from subtask_forge.factorize import _QUOTIENT_FLOOR
+
+    Z = request.getfixturevalue(basis)
+    full = nmf(Z, k, 1.0, NmfOptions(seed=0, restarts=1, max_iter=40, tol=0.0))
+    for sweeps in (0, 1, 10, 40):
+        F = nmf(Z, k, 1.0, NmfOptions(seed=0, restarts=1, max_iter=sweeps, tol=0.0))
+        assert np.array_equal(F.divergence_trace, full.divergence_trace[:sweeps + 1])
+        B = F.D @ F.W
+        # above the floor, so every value of this trace is in quotient form
+        assert F.divergence >= _QUOTIENT_FLOOR * (Z.sum() + B.sum())
+        ref = beta_divergence(Z, B, 1.0)
+        assert abs(F.divergence - ref) <= 1e-13 * ref
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8), m=st.integers(2, 8),
+       sigma=st.floats(0.1, 3.0), data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_kl_trace_descends_and_ends_at_the_fit(seed, n, m, sigma, data):
+    """On log-normal Z, a beta-1 trace never rises beyond 1e-12 relative and
+    its last value is the divergence of the returned factors. k stays below
+    min(n, m): an exact fit ends at the rounding floor of the update itself,
+    where the value wanders by more than 1e-12 of itself."""
+    k = data.draw(st.integers(1, min(n, m) - 1))
+    Z = np.exp(np.random.default_rng(seed).normal(0.0, sigma, (n, m)))
+    F = nmf(Z, k, 1.0, NmfOptions(seed=seed % 1000, restarts=1, max_iter=60, tol=0.0))
+    t = F.divergence_trace
+    assert np.all(t[:-1] - t[1:] >= -1e-12 * t[:-1])
+    assert F.divergence == pytest.approx(beta_divergence(Z, F.D @ F.W, 1.0), rel=1e-12)
 
 
 def test_nmf_normalized_divergence_scale_invariant():
@@ -284,7 +349,7 @@ EXTREME = {
     "huge": (BASE * 1e300, (0.0, 1.0, 0.5)),  # at beta 2 the divergence is ~1e600
     "tiny": (BASE * 1e-300, (0.0, 1.0, 2.0, 0.5)),
     "near limit beside ones": (np.array([[1.7e308, 1.0], [2.0, 3.0]]), ()),
-    "subnormal beside ones": (np.array([[5e-324, 1.0], [2.0, 3.0]]), (2.0, 0.5)),
+    "subnormal beside ones": (np.array([[5e-324, 1.0], [2.0, 3.0]]), (0.0, 2.0, 0.5)),
 }
 
 
@@ -303,6 +368,17 @@ def test_nmf_extreme_basis_is_fitted_or_raises(name, beta):
     if name in ("huge", "tiny"):  # the same fit as at the ordinary scale
         ref = nmf(BASE, 1, beta, opts)
         assert F.normalized_divergence == pytest.approx(ref.normalized_divergence, rel=1e-6)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.0])
+def test_nmf_fits_basis_with_one_huge_entry(beta):
+    # the product falls below 2**-53 of the huge entry; the KL objective
+    # of that entry read log1p(-1) and the fit was refused as not finite
+    Z = np.random.default_rng(0).uniform(1.1, 2.1, (6, 5))
+    Z[2, 3] = 4.403238868807929e17
+    F = nmf(Z, 2, beta, NmfOptions(restarts=1, max_iter=5))
+    assert np.isfinite([F.divergence, F.normalized_divergence]).all()
+    assert F.divergence == pytest.approx(beta_divergence(Z, F.D @ F.W, beta), rel=1e-12)
 
 
 def test_nmf_zero_iterations_records_initial_objective():
