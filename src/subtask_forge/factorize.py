@@ -15,11 +15,23 @@ one exception is the beta = 1 trace while a restart's value lies above
 2**-7 (sum(Z) + sum(D @ W)): there it is taken in quotient form from the
 Z / (D @ W) that the next update needs anyway, with an error of at most
 about 2e-13 relative, and below that floor from the cancellation-free terms.
+
+Restarts are independent. A fit of more than one restart on a Z of at least
+``fileio._FORK_MIN_ENTRIES`` (2**16) entries runs BLAS at one thread, and a
+forked child fits the second half of its restarts while this process fits
+the first, when the process may run on more than one CPU. So such a fit has
+the same bits on one CPU as on two. Should the fork or the child fail, this
+process fits that half too. Without an OpenBLAS thread setter among the
+loaded libraries, and for smaller or single-restart fits, every restart
+runs here at the default BLAS thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import signal
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,6 +302,106 @@ def _times_pow2(x, p: float):
     return np.ldexp(x * np.exp2(p - n), int(np.clip(n, -4096, 4096)))
 
 
+def _rank(item):
+    """Restarts rank by final value, ties broken by index."""
+    r, run = item
+    return run[2][-1], r
+
+
+def _best_of(Z, k, beta, opts, restarts):
+    """(r, run) of the best of the restarts numbered in ``restarts``."""
+    return min(((r, _run_restart(Z, k, beta, opts, r)) for r in restarts), key=_rank)
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, or None if not found."""
+    import ctypes  # loaded by numpy already
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if getter is not None and hasattr(lib, name):
+                setter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+def _fit_restarts(Z, k, beta, opts):
+    """(r, run) of the best of ``opts.restarts`` restarts, as the module
+    docstring says: above the floor at one BLAS thread, and the second half
+    fitted by a forked child that sends its best run through a pipe.
+
+    If the fork or the child fails, this process fits that half itself, so
+    the result and any error never depend on the child. The child is killed
+    and reaped, and the thread count restored, also when this process fails.
+    """
+    threads = _blas_threads() if opts.restarts > 1 and Z.size >= fileio._FORK_MIN_ENTRIES else None
+    if threads is None:
+        return _best_of(Z, k, beta, opts, range(opts.restarts))
+    import pickle  # loaded by numpy already
+
+    get_threads, set_threads = threads
+    half = (opts.restarts + 1) // 2
+    first, second = range(half), range(half, opts.restarts)
+    pid = None
+    rfd, wfd = os.pipe()
+    before = get_threads()
+    set_threads(1)  # two processes at two threads each oversubscribe two cores
+    try:
+        if fileio._spare_cpu():
+            with suppress(OSError):  # no process to spare: fit both halves here
+                pid = os.fork()
+            if pid == 0:
+                _child_best_of(wfd, Z, k, beta, opts, second)
+        os.close(wfd)
+        wfd = None
+        mine = _best_of(Z, k, beta, opts, first)
+        with open(rfd, "rb", closefd=False) as fh:
+            sent = fh.read()  # until the child exits; nothing without a child
+        child_ok = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        pid = None
+        theirs = pickle.loads(sent) if child_ok else _best_of(Z, k, beta, opts, second)
+        return min(mine, theirs, key=_rank)
+    finally:
+        if pid is not None:  # failed before reaping the child: stop it first
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(rfd)
+        if wfd is not None:
+            os.close(wfd)
+        set_threads(before)
+
+
+def _child_best_of(wfd, Z, k, beta, opts, restarts):
+    """In the forked child: send :func:`_best_of` ``restarts`` to ``wfd``, then exit.
+
+    The child leaves by ``os._exit`` on every path, so it never flushes the
+    parent's buffers or runs its cleanup.
+    """
+    import pickle
+
+    code = 1
+    try:
+        with open(wfd, "wb", closefd=False) as out:
+            pickle.dump(_best_of(Z, k, beta, opts, restarts), out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factorization:
     """Best-of-restarts multiplicative-update factorization Z ~ D @ W.
 
@@ -325,9 +437,7 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
         Z = np.ldexp(Z, -2 * e)
     # an overflow anywhere in the fit shows as a non-finite result, raised below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        runs = [_run_restart(Z, k, beta, opts, r) for r in range(opts.restarts)]
-        best = min(range(opts.restarts), key=lambda r: (runs[r][2][-1], r))
-        D, W, trace, converged = runs[best]
+        best, (D, W, trace, converged) = _fit_restarts(Z, k, beta, opts)
 
         col_mass = np.maximum(D.sum(axis=0), _TINY)
         D = D / col_mass[None, :]

@@ -38,7 +38,8 @@ import numpy as np
 #: a solved 400^2 or 1600^2 basis (65-160 MB resident) costs 3-7 ms, and
 #: appending the part about 0.5 ms per MB. A random 128^2 matrix wrote in
 #: 10.8 ms split against 11.8 ms in one process, 256^2 (this floor) in 41
-#: against 68 ms. A 125^2 taxi basis stays in one process.
+#: against 68 ms. A 125^2 taxi basis stays in one process. ``factorize``
+#: splits NMF restarts from the same floor.
 _FORK_MIN_ENTRIES = 1 << 16
 
 #: Entries formatted per block of rows: the text held at once is bounded by
@@ -110,9 +111,11 @@ def _write_rows_forked(fh, M: np.ndarray, directory: Path) -> None:
 def _child_write_rows(fd: int, M: np.ndarray, start: int, stop: int):
     """In the forked child: write rows ``start:stop`` to ``fd``, then exit.
 
-    Only Python formatting and file writes run here, never BLAS, whose
-    threads do not survive a fork. The child leaves by ``os._exit`` on every
-    path, so it never flushes the parent's buffers or runs its cleanup.
+    Only Python formatting and file writes run here, no BLAS. (The NMF
+    restarts' child, :func:`factorize._child_best_of`, does run BLAS, at
+    the one thread its parent sets before the fork.) The child leaves by
+    ``os._exit`` on every path, so it never flushes the parent's buffers or
+    runs its cleanup.
     """
     code = 1
     try:

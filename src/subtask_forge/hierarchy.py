@@ -70,14 +70,6 @@ class SubtaskLayer:
     def k(self) -> int:
         return self.P_t.shape[0]
 
-    def augmented_stacked(self) -> np.ndarray:
-        """Dense (n_i + n_b + k) x n_i column-stochastic augmented dynamics."""
-        return np.vstack([
-            self.P_ii_scaled.toarray(),
-            self.P_bi_scaled.toarray(),
-            self.P_t,
-        ])
-
 
 def augment_with_subtasks(L: Lmdp, F: Factorization, alpha: float) -> SubtaskLayer:
     """Attach k subtask states entered with probability alpha * d_hat_t(s).

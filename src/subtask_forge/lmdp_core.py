@@ -457,25 +457,3 @@ def load_lmdp(path) -> Lmdp:
     if not report.ok:
         raise ValueError(f"{path}: invalid LMDP: {'; '.join(report.violations)}")
     return L
-
-
-def equal_dynamics(a: PassiveDynamics, b: PassiveDynamics) -> bool:
-    """Bit-exact equality of two passive-dynamics pairs."""
-    for ma, mb in ((a.P_ii, b.P_ii), (a.P_bi, b.P_bi)):
-        if ma.shape != mb.shape:
-            return False
-        if (ma != mb).nnz != 0:
-            return False
-    return True
-
-
-def labels_interior(L: Lmdp) -> tuple[str, ...] | None:
-    if L.space.labels is None:
-        return None
-    return L.space.labels[: L.n_interior]
-
-
-def labels_boundary(L: Lmdp) -> tuple[str, ...] | None:
-    if L.space.labels is None:
-        return None
-    return L.space.labels[L.n_interior :]

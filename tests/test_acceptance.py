@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import LAM, R_STEP, TWIN_WEIGHT
+from conftest import LAM, R_STEP, TWIN_WEIGHT, augmented_stacked
 from subtask_forge.analysis import (
     assignment_purity,
     boundary_score,
@@ -192,7 +192,7 @@ def test_criterion_10_ring_spread_growth(ring_hier):
 
 
 def _mc_absorption(layer, t_col, n_walks, rng):
-    stacked = layer.augmented_stacked()
+    stacked = augmented_stacked(layer)
     n_i, n_b = layer.base.n_interior, layer.base.n_boundary
     cum = np.cumsum(stacked, axis=0)
     cum[-1, :] = 1.0

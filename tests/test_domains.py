@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import labels_boundary, labels_interior
 from subtask_forge.domains import (
     DEFAULT_TAXI_DEPOTS,
     DomainConfig,
@@ -22,7 +23,7 @@ from subtask_forge.domains import (
     rooms_room_labels,
     taxi_block_labels,
 )
-from subtask_forge.lmdp_core import labels_boundary, labels_interior, validate_lmdp
+from subtask_forge.lmdp_core import validate_lmdp
 
 
 def column_sums(L):

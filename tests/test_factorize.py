@@ -1,9 +1,14 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import benchmark_rooms, uniform_basis
+from subtask_forge import factorize
 from subtask_forge.errors import FactorRankError, NonFiniteResultError
 from subtask_forge.factorize import (
     Factorization,
@@ -419,6 +424,130 @@ def test_refit_beats_appending_a_column():
     # every k=4 column moved: no k=5 column reproduces it
     col_dist = np.abs(F4.D[:, :, None] - F5.D[:, None, :]).sum(axis=0)
     assert col_dist.min() > 0.05
+
+
+# ---------------------------------------------------------------------------
+# restarts split between this process and a forked child
+# ---------------------------------------------------------------------------
+
+
+#: Without an OpenBLAS thread setter every fit runs in one process.
+needs_blas_setter = pytest.mark.skipif(factorize._blas_threads() is None,
+                                       reason="no OpenBLAS thread setter in this process")
+ABOVE_FLOOR = random_positive((256, 256), seed=11)  # exactly the floor
+SPLIT_OPTS = NmfOptions(seed=0, restarts=5, max_iter=4, tol=0.0)  # best: restart 3
+
+
+def assert_same_fit(F, G):
+    for name in ("D", "W", "divergence_trace"):
+        assert np.array_equal(getattr(F, name), getattr(G, name)), name
+    assert (F.best_restart, F.converged, F.iterations) == (G.best_restart, G.converged,
+                                                           G.iterations)
+
+
+def one_cpu_fit(monkeypatch, Z, k, opts):
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return nmf(Z, k, 1.0, opts)
+
+
+@needs_blas_setter
+def test_split_restarts_match_one_cpu_bits(rooms_Z, two_cpus, monkeypatch):
+    opts = NmfOptions(seed=3, restarts=5, max_iter=40)
+    split = nmf(rooms_Z, 16, 1.0, opts)
+    assert len(two_cpus) == 1
+    alone = one_cpu_fit(monkeypatch, rooms_Z, 16, opts)
+    assert len(two_cpus) == 1
+    assert_same_fit(split, alone)
+    assert split.best_restart == 3  # from the child's half, restarts 3 and 4
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("Z,restarts,cpus,expected", [
+    (ABOVE_FLOOR, 2, {0, 1}, 1),
+    (ABOVE_FLOOR[:, :255], 5, {0, 1}, 0),  # one column below the floor
+    (ABOVE_FLOOR, 1, {0, 1}, 0),
+    (ABOVE_FLOOR, 5, {0}, 0),
+])
+def test_fork_only_above_floor_with_restarts_and_a_spare_cpu(two_cpus, monkeypatch, Z,
+                                                             restarts, cpus, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    nmf(Z, 3, 1.0, NmfOptions(seed=0, restarts=restarts, max_iter=2))
+    assert len(two_cpus) == expected
+
+
+@needs_blas_setter
+def test_blas_runs_at_one_thread_only_in_multi_restart_fits(two_cpus, monkeypatch):
+    get_threads, set_threads = factorize._blas_threads()
+    seen = []
+    real_run = factorize._run_restart
+
+    def run(*args):
+        seen.append(get_threads())
+        return real_run(*args)
+
+    monkeypatch.setattr(factorize, "_run_restart", run)
+    before = get_threads()
+    set_threads(3)
+    try:
+        one_cpu_fit(monkeypatch, ABOVE_FLOOR, 3, SPLIT_OPTS)
+        assert seen == [1] * SPLIT_OPTS.restarts and get_threads() == 3
+        seen.clear()
+        nmf(ABOVE_FLOOR, 3, 1.0, NmfOptions(restarts=1, max_iter=2))
+        nmf(ABOVE_FLOOR[:, :255], 3, 1.0, NmfOptions(restarts=2, max_iter=2))
+        assert seen == [3, 3, 3] and get_threads() == 3
+    finally:
+        set_threads(before)
+
+
+def _child_exits_1(wfd, *args):
+    os.write(wfd, b"garbage")
+    os._exit(1)
+
+
+def _child_killed(wfd, *args):
+    os.write(wfd, b"garbage")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _no_fork():
+    raise OSError("simulated: no process to spare")
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("attr,failure", [
+    ("_child_best_of", _child_exits_1),
+    ("_child_best_of", _child_killed),
+    ("fork", _no_fork),
+])
+def test_failed_child_half_is_fitted_by_parent(two_cpus, monkeypatch, attr, failure):
+    expected = one_cpu_fit(monkeypatch, ABOVE_FLOOR, 3, SPLIT_OPTS)
+    monkeypatch.setattr(os if attr == "fork" else factorize, attr, failure)
+    assert_same_fit(nmf(ABOVE_FLOOR, 3, 1.0, SPLIT_OPTS), expected)
+    assert len(two_cpus) == (attr != "fork")
+
+
+@needs_blas_setter
+def test_failed_parent_half_kills_and_reaps_the_child(two_cpus, monkeypatch):
+    get_threads, _ = factorize._blas_threads()
+    before = get_threads()
+    parent = os.getpid()
+    real_run = factorize._run_restart
+
+    def run(Z, k, beta, opts, r):
+        if os.getpid() == parent:
+            raise RuntimeError("simulated failure in the parent's half")
+        time.sleep(60)  # the child would outlast the test unless killed
+        return real_run(Z, k, beta, opts, r)
+
+    monkeypatch.setattr(factorize, "_run_restart", run)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent's half"):
+        nmf(ABOVE_FLOOR, 3, 1.0, SPLIT_OPTS)
+    assert time.monotonic() - start < 30
+    assert len(two_cpus) == 1
+    assert get_threads() == before
+    # the conftest fixture fails the test if the child is left unreaped
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import augmented_stacked, equal_dynamics
 from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
 from subtask_forge.errors import AlphaRangeError
 from subtask_forge.factorize import Factorization, NmfOptions
@@ -27,7 +28,7 @@ from subtask_forge.hierarchy import (
     subtask_alpha_max,
     write_hierarchy,
 )
-from subtask_forge.lmdp_core import Lmdp, PassiveDynamics, StateSpace, equal_dynamics
+from subtask_forge.lmdp_core import Lmdp, PassiveDynamics, StateSpace
 
 
 def fact(D, W=None) -> Factorization:
@@ -99,7 +100,7 @@ def test_augment_hand_oracle():
                           L.dynamics.P_bi.toarray() * scale[None, :])
     assert layer.P_ii_scaled.nnz == L.dynamics.P_ii.nnz
 
-    stacked = layer.augmented_stacked()
+    stacked = augmented_stacked(layer)
     assert stacked.shape == (3 + 2 + 2, 3)
     assert np.allclose(stacked.sum(axis=0), 1.0, atol=1e-12)
 
@@ -178,7 +179,7 @@ def _mc_absorption(layer, t_col: int, n_walks: int, rng) -> np.ndarray:
     Returns frequencies ordered like the derived dynamics: k subtask rows
     first, then boundary rows.
     """
-    stacked = layer.augmented_stacked()
+    stacked = augmented_stacked(layer)
     n_i = layer.base.n_interior
     n_b = layer.base.n_boundary
     cum = np.cumsum(stacked, axis=0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from conftest import equal_dynamics, labels_boundary, labels_interior
 from subtask_forge.errors import (
     ConvergenceError,
     DegenerateNormalizerError,
@@ -13,9 +14,6 @@ from subtask_forge.lmdp_core import (
     Lmdp,
     PassiveDynamics,
     StateSpace,
-    equal_dynamics,
-    labels_boundary,
-    labels_interior,
     lmdp_from_json_dict,
     lmdp_to_json_dict,
     load_lmdp,
