@@ -10,11 +10,17 @@ each task leans on each subtask.
 Minimization is by multiplicative updates with the majorization-minimization
 exponent, which keeps every recorded objective trace non-increasing for the
 three named beta values. Divergences are evaluated with cancellation-free
-per-entry terms so the traces are trustworthy at 1e-12 relative slack. The
-one exception is the beta = 1 trace while a restart's value lies above
-2**-7 (sum(Z) + sum(D @ W)): there it is taken in quotient form from the
-Z / (D @ W) that the next update needs anyway, with an error of at most
-about 2e-13 relative, and below that floor from the cancellation-free terms.
+per-entry terms so the traces are trustworthy at 1e-12 relative slack. Two
+traces are taken from products the updates form anyway while a restart's
+value lies above a floor, with an error of at most about 2e-13 relative,
+and from the cancellation-free terms once it falls below:
+
+- beta = 1 in quotient form, sum(Z log(Z / B)) - sum(Z) + sum(B) for
+  B = D @ W, from the Z / B that the next update needs, above
+  2**-7 (sum(Z) + sum(B));
+- beta = 2 in Gram form, 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>,
+  from the products of the W update, above 2**-4 (0.5 ||Z||^2). Above that
+  floor a beta = 2 restart forms no n x N array at all.
 
 Restarts are independent. A fit of more than one restart on a Z of at least
 ``fileio._FORK_MIN_ENTRIES`` (2**16) entries runs BLAS at one thread, and a
@@ -30,8 +36,6 @@ from __future__ import annotations
 
 import functools
 import os
-import signal
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,18 +136,14 @@ def _mu_exponent(beta: float) -> float:
 
 
 def _update_once(Z, D, W, B, beta, gamma, scratch, quotient):
-    """One full sweep: update D in place, then W in place.
+    """One full sweep at beta != 2: update D in place, then W in place.
 
     ``B`` is ``D @ W`` on entry, the product the caller already formed for
-    the objective; the beta = 2 update does not need it. The beta = 1 and
-    general updates overwrite ``B`` with the intermediate product, and the
-    beta = 1 update writes its quotient Z / B into ``scratch[0]``; with
+    the objective; the sweep overwrites it with the intermediate product.
+    The beta = 1 update writes its quotient Z / B into ``scratch[0]``; with
     ``quotient`` set, ``scratch[0]`` already holds Z / B on entry.
     """
-    if beta == 2:
-        D *= (Z @ W.T) / np.maximum(D @ (W @ W.T), _TINY)
-        W *= (D.T @ Z) / np.maximum((D.T @ D) @ W, _TINY)
-    elif beta == 1:
+    if beta == 1:
         Q = scratch[0] if quotient else np.divide(Z, B, out=scratch[0])
         D *= (Q @ W.T) / np.maximum(W.sum(axis=1)[None, :], _TINY)
         np.divide(Z, np.matmul(D, W, out=B), out=Q)
@@ -158,11 +158,33 @@ def _update_once(Z, D, W, B, beta, gamma, scratch, quotient):
         W *= (num / den) ** gamma if gamma != 1.0 else num / den
 
 
+def _frobenius_sweep(Z, D, W, WWt):
+    """One full beta = 2 sweep, D then W in place, given ``WWt`` = W @ W.T.
+
+    Returns D.T @ Z and D.T @ D, the products the W update formed, and the
+    new W @ W.T, which the next sweep's D update and the Gram-form objective
+    both use. None of them is n x N.
+    """
+    D *= (Z @ W.T) / np.maximum(D @ WWt, _TINY)
+    DtZ, DtD = D.T @ Z, D.T @ D
+    W *= DtZ / np.maximum(DtD @ W, _TINY)
+    return DtZ, DtD, W @ W.T
+
+
 #: The beta = 1 objective in quotient form cancels: its error was measured at
 #: most 7 eps (sum(Z) + sum(B)) / d. A restart whose value falls below this
 #: fraction of sum(Z) + sum(B) takes the cancellation-free terms from then on,
 #: which keeps the quotient form's error at or below about 2e-13 relative.
 _QUOTIENT_FLOOR = 2.0 ** -7
+
+#: The beta = 2 objective in Gram form cancels too: its error was measured at
+#: most 23 eps (0.5 ||Z||^2), against a long-double reference, over 1715
+#: values of 13 bases (20 x 16 to 1600 x 1600: rooms, taxi, random and exact
+#: rank 4; k 2-64; up to 2000 sweeps); the median was 3 eps. A restart
+#: whose value falls below this fraction of 0.5 ||Z||^2 takes the
+#: cancellation-free terms from then on, which keeps the Gram form's error
+#: at or below 23 eps * 16, about 8e-14 relative: 2e-13 holds up to 56 eps.
+_GRAM_FLOOR = 2.0 ** -4
 
 
 def _objective(Z, D, W, B, beta, scratch, sum_Z):
@@ -183,6 +205,54 @@ def _objective(Z, D, W, B, beta, scratch, sum_Z):
         if d >= _QUOTIENT_FLOOR * (sum_Z + sum_B):
             return d, True
     return _divergence(Z, B, beta, *scratch), False
+
+
+def _gram_objective(half_zz, W, DtZ, DtD, WWt):
+    """0.5 ||Z - D W||^2 in Gram form, 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>,
+    from ``half_zz`` = 0.5 ||Z||^2 and the products :func:`_frobenius_sweep`
+    returns; None below the floor."""
+    d = (half_zz - float(np.einsum("ij,ij->", DtZ, W))
+         + 0.5 * float(np.einsum("ij,ij->", DtD, WWt)))
+    return d if d >= _GRAM_FLOOR * half_zz else None
+
+
+def _values(Z, D, W, beta):
+    """Yield d_beta(Z || D @ W) for the given factors, then after each sweep
+    of multiplicative updates, which change D and W in place (beta != 2).
+
+    B and the n x N work arrays live as long as the generator; each sweep
+    writes into them. nmf hands in a C-ordered Z, the order of B and the
+    work arrays, so every elementwise pass reads all three in step. The
+    beta = 1 value is in quotient form until it nears its cancellation
+    floor; from then on the restart stays with the exact terms.
+    """
+    B = np.empty(Z.shape)
+    scratch = [np.empty(Z.shape) for _ in range(2 if beta == 1 else 0)]
+    gamma = _mu_exponent(beta)
+    sum_Z = float(Z.sum()) if beta == 1 else None
+    while True:
+        np.matmul(D, W, out=B)
+        d, quotient = _objective(Z, D, W, B, beta, scratch, sum_Z)
+        yield d
+        if not quotient:
+            sum_Z = None
+        _update_once(Z, D, W, B, beta, gamma, scratch, quotient)
+
+
+def _frobenius_values(Z, D, W):
+    """:func:`_values` at beta = 2. Each value is taken in Gram form from the
+    products the sweep formed, so no n x N array is made, until it falls
+    below ``_GRAM_FLOOR``; from then on the restart forms B = D @ W and
+    takes the cancellation-free terms in a second n x N work array."""
+    half_zz = 0.5 * float(np.einsum("ij,ij->", Z, Z))
+    DtZ, DtD, WWt = D.T @ Z, D.T @ D, W @ W.T
+    while (d := _gram_objective(half_zz, W, DtZ, DtD, WWt)) is not None:
+        yield d
+        DtZ, DtD, WWt = _frobenius_sweep(Z, D, W, WWt)
+    B, work = np.empty(Z.shape), np.empty(Z.shape)
+    while True:
+        yield _divergence(Z, np.matmul(D, W, out=B), 2.0, work)
+        WWt = _frobenius_sweep(Z, D, W, WWt)[2]
 
 
 @dataclass(frozen=True)
@@ -226,42 +296,21 @@ def _restart_stream(seed: int, k: int, restart: int) -> np.random.Generator:
     return np.random.default_rng([seed, k, restart])
 
 
-#: n x N work arrays per beta: one for the beta = 2 objective, two for the
-#: beta = 1 objective (the quotient Z / B, which its update reuses, and its
-#: log; or the cancellation-free terms). Every other beta takes
-#: the general update, which allocates its own temporaries, so arrays held
-#: across it would only raise the peak.
-_SCRATCH = {2.0: 1, 1.0: 2}
-
-
 def _run_restart(Z, k, beta, opts, restart):
     rng = _restart_stream(opts.seed, k, restart)
     n, n_tasks = Z.shape
     D = rng.uniform(0.1, 1.1, size=(n, k))
     W = rng.uniform(0.1, 1.1, size=(k, n_tasks))
-    B = D @ W
-    scale = np.sqrt(Z.mean() / B.mean())
+    scale = np.sqrt(Z.mean() / (D @ W).mean())
     D *= scale
     W *= scale
 
-    # B and the n x N work arrays live for the whole restart; each sweep
-    # writes into them. nmf hands in a C-ordered Z, the order of B and the
-    # work arrays, so every elementwise pass reads all three in step.
-    scratch = [np.empty(Z.shape) for _ in range(_SCRATCH.get(beta, 0))]
-    gamma = _mu_exponent(beta)
-    # quotient form at beta = 1 until the value nears its cancellation floor
-    sum_Z = float(Z.sum()) if beta == 1 else None
-    np.matmul(D, W, out=B)
     # nmf has checked Z, and checks the fit for non-finite values at the end
-    d, quotient = _objective(Z, D, W, B, beta, scratch, sum_Z)
-    trace = [d]
+    values = _frobenius_values(Z, D, W) if beta == 2 else _values(Z, D, W, beta)
+    trace = [next(values)]
     converged = False
     for _ in range(opts.max_iter):
-        if not quotient:  # once below the floor, the restart stays there
-            sum_Z = None
-        _update_once(Z, D, W, B, beta, gamma, scratch, quotient)
-        np.matmul(D, W, out=B)
-        d, quotient = _objective(Z, D, W, B, beta, scratch, sum_Z)
+        d = next(values)
         trace.append(d)
         if trace[-2] - d <= opts.tol * max(trace[-2], _TINY):
             converged = True
@@ -342,64 +391,26 @@ def _blas_threads():
 def _fit_restarts(Z, k, beta, opts):
     """(r, run) of the best of ``opts.restarts`` restarts, as the module
     docstring says: above the floor at one BLAS thread, and the second half
-    fitted by a forked child that sends its best run through a pipe.
-
-    If the fork or the child fails, this process fits that half itself, so
-    the result and any error never depend on the child. The child is killed
-    and reaped, and the thread count restored, also when this process fails.
+    fitted by a forked child through :func:`fileio.split_work`, which refits
+    that half here should the child fail. The thread count is restored on
+    every path.
     """
     threads = _blas_threads() if opts.restarts > 1 and Z.size >= fileio._FORK_MIN_ENTRIES else None
     if threads is None:
         return _best_of(Z, k, beta, opts, range(opts.restarts))
-    import pickle  # loaded by numpy already
-
     get_threads, set_threads = threads
     half = (opts.restarts + 1) // 2
-    first, second = range(half), range(half, opts.restarts)
-    pid = None
-    rfd, wfd = os.pipe()
     before = get_threads()
     set_threads(1)  # two processes at two threads each oversubscribe two cores
     try:
-        if fileio._spare_cpu():
-            with suppress(OSError):  # no process to spare: fit both halves here
-                pid = os.fork()
-            if pid == 0:
-                _child_best_of(wfd, Z, k, beta, opts, second)
-        os.close(wfd)
-        wfd = None
-        mine = _best_of(Z, k, beta, opts, first)
-        with open(rfd, "rb", closefd=False) as fh:
-            sent = fh.read()  # until the child exits; nothing without a child
-        child_ok = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        pid = None
-        theirs = pickle.loads(sent) if child_ok else _best_of(Z, k, beta, opts, second)
-        return min(mine, theirs, key=_rank)
+        if not fileio._spare_cpu():
+            return _best_of(Z, k, beta, opts, range(opts.restarts))
+        halves = fileio.split_work(
+            functools.partial(_best_of, Z, k, beta, opts, range(half)),
+            functools.partial(_best_of, Z, k, beta, opts, range(half, opts.restarts)))
+        return min(halves, key=_rank)
     finally:
-        if pid is not None:  # failed before reaping the child: stop it first
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(rfd)
-        if wfd is not None:
-            os.close(wfd)
         set_threads(before)
-
-
-def _child_best_of(wfd, Z, k, beta, opts, restarts):
-    """In the forked child: send :func:`_best_of` ``restarts`` to ``wfd``, then exit.
-
-    The child leaves by ``os._exit`` on every path, so it never flushes the
-    parent's buffers or runs its cleanup.
-    """
-    import pickle
-
-    code = 1
-    try:
-        with open(wfd, "wb", closefd=False) as out:
-            pickle.dump(_best_of(Z, k, beta, opts, restarts), out, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factorization:
@@ -442,7 +453,8 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
         col_mass = np.maximum(D.sum(axis=0), _TINY)
         D = D / col_mass[None, :]
         W = W * col_mass[:, None]
-        baseline = beta_divergence(Z, np.full_like(Z, Z.mean()), beta)
+        # a read-only view of the mean: no second n x N array at the peak
+        baseline = beta_divergence(Z, np.broadcast_to(Z.mean(), Z.shape), beta)
         normalized = float(trace[-1]) / max(baseline, _TINY)
         if e:  # undo the scale: W times 4**e, divergences times 4**(e * beta)
             W = np.ldexp(W, 2 * e)
@@ -582,12 +594,6 @@ def write_factorization_files(dir_path, F: Factorization) -> None:
         "converged": F.converged,
         "best_restart": F.best_restart,
     })
-
-
-def write_factorization(dir_path, F: Factorization) -> None:
-    """Atomically (re)place a factorization directory."""
-    with fileio.staged_dir(dir_path) as stage:
-        write_factorization_files(stage, F)
 
 
 def read_factorization(dir_path) -> Factorization:

@@ -22,10 +22,9 @@ from .factorize import (
     Factorization,
     NmfOptions,
     nmf,
-    read_factorization,
     write_factorization_files,
 )
-from .lmdp_core import Lmdp, PassiveDynamics, StateSpace, load_lmdp, save_lmdp
+from .lmdp_core import Lmdp, PassiveDynamics, StateSpace, save_lmdp
 from .multitask import build_uniform_task_basis, solve_task_basis
 from . import fileio
 
@@ -268,42 +267,3 @@ def write_hierarchy_files(dir_path, H: HierarchicalMlmdp) -> None:
         "level_dirs": [f"level_{layer.level}" for layer in H.layers],
         "top": "top.json",
     })
-
-
-def write_hierarchy(dir_path, H: HierarchicalMlmdp) -> None:
-    with fileio.staged_dir(dir_path) as stage:
-        write_hierarchy_files(stage, H)
-
-
-def read_hierarchy(dir_path) -> HierarchicalMlmdp:
-    """Rebuild a hierarchy from its output directory.
-
-    Layer tensors not stored on disk (scaled dynamics, subtask columns) are
-    recomputed from each level's LMDP, factorization and alpha; the
-    recomputation is deterministic, so the result matches what was written.
-    """
-    manifest = fileio.read_json(os.path.join(dir_path, "hierarchy.json"))
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{dir_path}: hierarchy.json must be an object")
-    for key in ("levels", "k_schedule", "alpha_schedule", "beta", "seed",
-                "level_dirs", "top"):
-        if key not in manifest:
-            raise ValueError(f"{dir_path}: hierarchy.json lacks key {key!r}")
-    level_dirs = manifest["level_dirs"]
-    alpha_schedule = tuple(float(a) for a in manifest["alpha_schedule"])
-    if not (len(level_dirs) == len(alpha_schedule) == int(manifest["levels"])):
-        raise ValueError(f"{dir_path}: hierarchy.json schedule lengths disagree")
-    layers = []
-    for level, (name, alpha) in enumerate(zip(level_dirs, alpha_schedule)):
-        level_dir = os.path.join(dir_path, name)
-        base = load_lmdp(os.path.join(level_dir, "lmdp.json"))
-        F = read_factorization(level_dir)
-        layers.append(replace(augment_with_subtasks(base, F, alpha), level=level))
-    return HierarchicalMlmdp(
-        layers=tuple(layers),
-        top=load_lmdp(os.path.join(dir_path, manifest["top"])),
-        k_schedule=tuple(int(k) for k in manifest["k_schedule"]),
-        alpha_schedule=alpha_schedule,
-        beta=float(manifest["beta"]),
-        seed=int(manifest["seed"]),
-    )

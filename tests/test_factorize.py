@@ -1,5 +1,4 @@
 import os
-import signal
 import time
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import benchmark_rooms, uniform_basis
+from conftest import CHILD_FAILURES, benchmark_rooms, inject, uniform_basis, write_factorization
 from subtask_forge import factorize
 from subtask_forge.errors import FactorRankError, NonFiniteResultError
 from subtask_forge.factorize import (
@@ -19,7 +18,6 @@ from subtask_forge.factorize import (
     nmf,
     read_factorization,
     select_k,
-    write_factorization,
     write_k_curve,
 )
 
@@ -190,7 +188,10 @@ def _restart_with_temporaries(Z, k, beta, opts, restart):
 
     def objective(B):
         if beta == 2:
-            return float(0.5 * np.square(Z - B).sum())
+            # Gram form: 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>
+            return (0.5 * float(np.einsum("ij,ij->", Z, Z))
+                    - float(np.einsum("ij,ij->", D.T @ Z, W))
+                    + 0.5 * float(np.einsum("ij,ij->", D.T @ D, W @ W.T)))
         # quotient form: sum(Z log(Z / B)) - sum(Z) + colsum(D) . rowsum(W)
         return (float(np.einsum("ij,ij->", Z, np.log(Z / B))) - float(Z.sum())
                 + float(D.sum(axis=0) @ W.sum(axis=1)))
@@ -261,20 +262,57 @@ def test_kl_trace_matches_beta_divergence(request, basis, k):
         assert abs(F.divergence - ref) <= 1e-13 * ref
 
 
+def test_gram_guard_switches_once_and_keeps_the_exact_fit_floor(monkeypatch):
+    import subtask_forge.factorize as fz
+
+    forms = []  # per Gram-form evaluation: False once it fell below the floor
+    objective = fz._gram_objective
+
+    def recording(*args):
+        d = objective(*args)
+        forms.append(d is not None)
+        return d
+
+    monkeypatch.setattr(fz, "_gram_objective", recording)
+    rng = np.random.default_rng(1)
+    Z = rng.uniform(0.0, 1.0, (20, 4)) @ rng.uniform(0.0, 1.0, (4, 16))
+    F = nmf(Z, 4, 2.0, NmfOptions(seed=0, restarts=1, max_iter=20000, tol=1e-12))
+    switch = forms.index(False)
+    assert switch > 0 and switch == len(forms) - 1  # never evaluated again
+    assert F.divergence_trace.size > switch + 1  # the values from the switch on are exact
+    assert F.divergence_trace[-1] < 1e-25
+
+
+@pytest.mark.parametrize("basis,k", [("rooms_Z", 16), ("taxi_Z", 5)])
+def test_frobenius_trace_matches_beta_divergence(request, basis, k):
+    from subtask_forge.factorize import _GRAM_FLOOR
+
+    Z = request.getfixturevalue(basis)
+    full = nmf(Z, k, 2.0, NmfOptions(seed=0, restarts=1, max_iter=40, tol=0.0))
+    for sweeps in (0, 1, 10, 40):
+        F = nmf(Z, k, 2.0, NmfOptions(seed=0, restarts=1, max_iter=sweeps, tol=0.0))
+        assert np.array_equal(F.divergence_trace, full.divergence_trace[:sweeps + 1])
+        # above the floor, so every value of this trace is in Gram form
+        assert F.divergence >= _GRAM_FLOOR * 0.5 * np.square(Z).sum()
+        ref = beta_divergence(Z, F.D @ F.W, 2.0)
+        assert abs(F.divergence - ref) <= 1e-13 * ref
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8), m=st.integers(2, 8),
        sigma=st.floats(0.1, 3.0), data=st.data())
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_kl_trace_descends_and_ends_at_the_fit(seed, n, m, sigma, data):
-    """On log-normal Z, a beta-1 trace never rises beyond 1e-12 relative and
-    its last value is the divergence of the returned factors. k stays below
-    min(n, m): an exact fit ends at the rounding floor of the update itself,
-    where the value wanders by more than 1e-12 of itself."""
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_kl_trace_descends_and_ends_at_the_fit(beta, seed, n, m, sigma, data):
+    """On log-normal Z, a beta-1 or beta-2 trace never rises beyond 1e-12
+    relative and its last value is the divergence of the returned factors.
+    k stays below min(n, m): an exact fit ends at the rounding floor of the
+    update itself, where the value wanders by more than 1e-12 of itself."""
     k = data.draw(st.integers(1, min(n, m) - 1))
     Z = np.exp(np.random.default_rng(seed).normal(0.0, sigma, (n, m)))
-    F = nmf(Z, k, 1.0, NmfOptions(seed=seed % 1000, restarts=1, max_iter=60, tol=0.0))
+    F = nmf(Z, k, beta, NmfOptions(seed=seed % 1000, restarts=1, max_iter=60, tol=0.0))
     t = F.divergence_trace
     assert np.all(t[:-1] - t[1:] >= -1e-12 * t[:-1])
-    assert F.divergence == pytest.approx(beta_divergence(Z, F.D @ F.W, 1.0), rel=1e-12)
+    assert F.divergence == pytest.approx(beta_divergence(Z, F.D @ F.W, beta), rel=1e-12)
 
 
 def test_nmf_normalized_divergence_scale_invariant():
@@ -500,29 +538,11 @@ def test_blas_runs_at_one_thread_only_in_multi_restart_fits(two_cpus, monkeypatc
         set_threads(before)
 
 
-def _child_exits_1(wfd, *args):
-    os.write(wfd, b"garbage")
-    os._exit(1)
-
-
-def _child_killed(wfd, *args):
-    os.write(wfd, b"garbage")
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _no_fork():
-    raise OSError("simulated: no process to spare")
-
-
 @needs_blas_setter
-@pytest.mark.parametrize("attr,failure", [
-    ("_child_best_of", _child_exits_1),
-    ("_child_best_of", _child_killed),
-    ("fork", _no_fork),
-])
+@pytest.mark.parametrize("attr,failure", CHILD_FAILURES)
 def test_failed_child_half_is_fitted_by_parent(two_cpus, monkeypatch, attr, failure):
     expected = one_cpu_fit(monkeypatch, ABOVE_FLOOR, 3, SPLIT_OPTS)
-    monkeypatch.setattr(os if attr == "fork" else factorize, attr, failure)
+    inject(monkeypatch, attr, failure)
     assert_same_fit(nmf(ABOVE_FLOOR, 3, 1.0, SPLIT_OPTS), expected)
     assert len(two_cpus) == (attr != "fork")
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import augmented_stacked, equal_dynamics
+from conftest import augmented_stacked, equal_dynamics, read_hierarchy, write_hierarchy
 from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
 from subtask_forge.errors import AlphaRangeError
 from subtask_forge.factorize import Factorization, NmfOptions
@@ -23,10 +23,8 @@ from subtask_forge.hierarchy import (
     ground_matrix,
     grounded_subtasks,
     normalized_columns,
-    read_hierarchy,
     strip_subtasks,
     subtask_alpha_max,
-    write_hierarchy,
 )
 from subtask_forge.lmdp_core import Lmdp, PassiveDynamics, StateSpace
 

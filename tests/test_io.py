@@ -1,9 +1,9 @@
 import os
-import signal
 
 import numpy as np
 import pytest
 
+from conftest import CHILD_FAILURES, inject
 from subtask_forge import fileio
 from subtask_forge.fileio import (
     atomic_write_json,
@@ -78,8 +78,10 @@ def test_split_writer_matches_reference_bytes(tmp_path, two_cpus, order):
     assert path.read_bytes() == reference_csv(M)
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
     back = read_matrix_csv(path)
+    assert len(two_cpus) == 2  # the reader split too
     assert np.array_equal(back, M, equal_nan=True)
     assert np.array_equal(np.signbit(back), np.signbit(M))
+    assert back.flags.c_contiguous and back.flags.owndata
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -101,31 +103,14 @@ def test_small_matrix_is_not_split(tmp_path, two_cpus):
     assert (tmp_path / "m.csv").read_bytes() == reference_csv(M)
 
 
-def _child_exits_1(fd, M, start, stop):
-    os.write(fd, b"garbage")
-    os._exit(1)
-
-
-def _child_killed(fd, M, start, stop):
-    os.write(fd, b"garbage")
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _no_fork():
-    raise OSError("simulated: no process to spare")
-
-
-@pytest.mark.parametrize("attr,failure", [
-    ("_child_write_rows", _child_exits_1),
-    ("_child_write_rows", _child_killed),
-    ("fork", _no_fork),
-])
+@pytest.mark.parametrize("attr,failure", CHILD_FAILURES)
 def test_failed_child_half_is_formatted_by_parent(tmp_path, two_cpus, monkeypatch,
                                                   attr, failure):
-    monkeypatch.setattr(fileio.os if attr == "fork" else fileio, attr, failure)
+    inject(monkeypatch, attr, failure)
     M = awkward_matrix("F")
     path = tmp_path / "m.csv"
     write_matrix_csv(path, M)
+    assert len(two_cpus) == (attr != "fork")
     assert path.read_bytes() == reference_csv(M)
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
@@ -157,13 +142,16 @@ def test_reader_returns_owned_c_contiguous_float64(tmp_path):
     assert Z.flags.c_contiguous and Z.flags.owndata
 
 
-@pytest.mark.parametrize("text,expected", [
+ACCEPTED = [
     ("2,2\n1.0,2.0\n\n3.0,4.0\n\n", [[1.0, 2.0], [3.0, 4.0]]),  # empty lines skipped
     ("2,2\r\n1.0,2.0\r\n3.0,4.0\r\n", [[1.0, 2.0], [3.0, 4.0]]),  # CRLF
     ("2,2\n1.0,2.0\n3.0,4.0", [[1.0, 2.0], [3.0, 4.0]]),  # no final newline
     ("1,3\n 1.0 ,+2,-3e0\n", [[1.0, 2.0, -3.0]]),  # blanks and signs
     ("0,3\n", np.empty((0, 3))),
-])
+]
+
+
+@pytest.mark.parametrize("text,expected", ACCEPTED)
 def test_matrix_csv_accepted_syntax(tmp_path, text, expected):
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode())
@@ -171,19 +159,137 @@ def test_matrix_csv_accepted_syntax(tmp_path, text, expected):
     assert Z.shape == np.shape(expected) and np.array_equal(Z, expected)
 
 
-@pytest.mark.parametrize("text,match", [
+REJECTED = [
     ("1,2\n1_0,2.0\n", "could not convert string '1_0'"),  # float() takes it
     ("1,2\n\uff11,2.0\n", "could not convert string"),  # fullwidth digit one
     ("1,2\n1.0, \n", "could not convert string"),
     ("2,2\n1.0,2.0\n3.0\n", "row 1 has 1 values, expected 2"),
     ("2,2\n1.0,2.0\n \n", "row 1 has 1 values, expected 2"),  # blanks are no empty line
     ("-1,2\n", "bad header"),
-])
+]
+
+
+@pytest.mark.parametrize("text,match", REJECTED)
 def test_matrix_csv_rejected_syntax(tmp_path, text, match):
     path = tmp_path / "m.csv"
     path.write_bytes(text.encode())
     with pytest.raises(ValueError, match=match):
         read_matrix_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the reader split between this process and a forked child
+# ---------------------------------------------------------------------------
+
+
+#: Rows of plain body put before a syntax case, so that the file is above the
+#: fork floor and the split point lies in them, before the case's oddity.
+PAD_ROWS = fileio._FORK_MIN_ENTRIES // 2 + 1
+
+
+def padded(text: str) -> bytes:
+    """``text`` with ``PAD_ROWS`` rows of its column count inserted after the
+    header, and the header's row count raised to match."""
+    header, _, body = text.partition("\n")
+    line_end = "\r\n" if header.endswith("\r") else "\n"
+    rows, cols = map(int, header.rstrip("\r").split(","))
+    if rows < 0:  # a bad header stays as it is
+        return text.encode()
+    pad = "".join(",".join(f"{i}.{j}" for j in range(cols)) + "\n" for i in range(PAD_ROWS))
+    return f"{rows + PAD_ROWS},{cols}{line_end}{pad}{body}".encode()
+
+
+def split_read(path):
+    """The reader's array for ``path``, or its message."""
+    try:
+        return read_matrix_csv(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def one_cpu_read(monkeypatch, path):
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return split_read(path)
+
+
+def assert_same_read(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("text", [text for text, _ in ACCEPTED + REJECTED])
+def test_split_reader_matches_one_cpu_on_each_syntax_case(tmp_path, two_cpus, monkeypatch,
+                                                         text):
+    """Every accepted and rejected syntax case above, with its oddity after
+    the split point, reads as on one CPU: the same array or message."""
+    path = tmp_path / "m.csv"
+    path.write_bytes(padded(text))
+    expected = one_cpu_read(monkeypatch, path)
+    assert_same_read(split_read(path), expected)
+    assert len(two_cpus) == (not text.startswith("-"))
+
+
+def test_split_reader_handles_cr_line_ends(tmp_path, two_cpus, monkeypatch):
+    path = tmp_path / "m.csv"
+    # CR-only throughout: no newline to split at, so one process reads it
+    path.write_bytes(padded("2,2\n1.0,2.0\n3.0,4.0\n").replace(b"\n", b"\r"))
+    expected = one_cpu_read(monkeypatch, path)
+    assert expected.shape == (PAD_ROWS + 2, 2)
+    assert_same_read(split_read(path), expected)
+    assert two_cpus == []
+    # CR-only rows in the child's half only: they count as rows there too
+    path.write_bytes(padded("3,2\n1.0,2.0\r3.0,4.0\r5.0,6.0\n"))
+    expected = one_cpu_read(monkeypatch, path)
+    assert expected.shape == (PAD_ROWS + 3, 2)
+    assert_same_read(split_read(path), expected)
+    assert len(two_cpus) == 1
+    # a CR inside the header line ends the header there for the serial reader
+    path.write_bytes(f"{PAD_ROWS}\r,2\n".encode() + padded("0,2\n").partition(b"\n")[2])
+    expected = one_cpu_read(monkeypatch, path)
+    assert expected == f"{path}: bad header '{PAD_ROWS}', expected 'rows,cols'"
+    assert split_read(path) == expected
+    assert len(two_cpus) == 1  # no split: the header line is not plain
+
+
+@pytest.mark.parametrize("off_by", [-1, 1])
+def test_split_reader_header_one_row_off_with_blank_lines_in_both_halves(
+        tmp_path, two_cpus, monkeypatch, off_by):
+    rows, cols = 2 * PAD_ROWS, 2
+    lines = [f"{i}.5,{i}.25\n" + ("\n" if i % 997 == 0 else "") for i in range(rows)]
+    path = tmp_path / "m.csv"
+    path.write_bytes(f"{rows + off_by},{cols}\n{''.join(lines)}".encode())
+    expected = one_cpu_read(monkeypatch, path)
+    assert expected == f"{path}: header declares {rows + off_by} rows, file has {rows}"
+    assert split_read(path) == expected
+    assert len(two_cpus) == 1
+
+
+def _parent_half_fails(real):
+    parent = os.getpid()
+
+    def parse_range(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("simulated failure in the parent's half")
+        return real(*args)
+
+    return parse_range
+
+
+@pytest.mark.parametrize("attr,failure", CHILD_FAILURES + [("_parse_range", None)])
+def test_failed_split_read_is_read_serially(tmp_path, two_cpus, monkeypatch, attr, failure):
+    M = np.random.default_rng(2).standard_normal((300, 256))
+    path = tmp_path / "m.csv"
+    path.write_bytes(reference_csv(M))
+    if failure is None:
+        failure = _parent_half_fails(fileio._parse_range)
+    inject(monkeypatch, attr, failure)
+    back = read_matrix_csv(path)
+    assert len(two_cpus) == (attr != "fork")
+    assert np.array_equal(back, M)
+    # the conftest fixtures fail the test if a child or a descriptor is left
 
 
 def test_atomic_write_replaces_and_leaves_no_litter(tmp_path):
