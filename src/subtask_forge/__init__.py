@@ -4,131 +4,24 @@ The pipeline in one breath: build a domain (`domains`), solve its uniform
 task basis (`multitask`), factorize the basis into subtasks (`factorize`),
 optionally stack levels (`hierarchy`), then score and render the result
 (`analysis`, `render`). The `cli` module wires the same steps to files.
+The package root exports the names of the README quick start; every other
+name is imported from its module.
 """
 
-from .errors import (
-    AlphaRangeError,
-    ConvergenceError,
-    DegenerateNormalizerError,
-    FactorRankError,
-    NonFiniteResultError,
-    SingularSystemError,
-    SubtaskForgeError,
-)
-from .lmdp_core import (
-    Lmdp,
-    PassiveDynamics,
-    StateSpace,
-    ValidationReport,
-    load_lmdp,
-    optimal_policy,
-    save_lmdp,
-    solve_finite_exit,
-    solve_iterative,
-    validate_lmdp,
-    value_from_desirability,
-)
-from .domains import (
-    DomainConfig,
-    RingSpec,
-    RoomsSpec,
-    TaxiSpec,
-    build_domain,
-    build_ring,
-    build_rooms,
-    build_taxi,
-    parse_domain_config,
-    region_labels,
-)
-from .multitask import build_uniform_task_basis, compose, solve_task_basis
-from .factorize import (
-    Factorization,
-    KSelection,
-    NmfOptions,
-    beta_divergence,
-    find_elbow,
-    nmf,
-    read_factorization,
-    select_k,
-)
-from .hierarchy import (
-    HierarchicalMlmdp,
-    SubtaskLayer,
-    augment_with_subtasks,
-    build_hierarchy,
-    derive_higher_layer,
-    ground_matrix,
-    grounded_subtasks,
-    strip_subtasks,
-    subtask_alpha_max,
-)
-from .analysis import (
-    assignment_purity,
-    boundary_score,
-    circular_spread,
-    equivalent,
-    purity_report,
-    subtask_distance,
-    top_scoring_states,
-)
+from .domains import RoomsSpec, build_rooms
+from .factorize import NmfOptions, nmf
+from .hierarchy import build_hierarchy
+from .multitask import build_uniform_task_basis, solve_task_basis
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaRangeError",
-    "ConvergenceError",
-    "DegenerateNormalizerError",
-    "FactorRankError",
-    "NonFiniteResultError",
-    "SingularSystemError",
-    "SubtaskForgeError",
-    "Lmdp",
-    "PassiveDynamics",
-    "StateSpace",
-    "ValidationReport",
-    "load_lmdp",
-    "optimal_policy",
-    "save_lmdp",
-    "solve_finite_exit",
-    "solve_iterative",
-    "validate_lmdp",
-    "value_from_desirability",
-    "DomainConfig",
-    "RingSpec",
     "RoomsSpec",
-    "TaxiSpec",
-    "build_domain",
-    "build_ring",
     "build_rooms",
-    "build_taxi",
-    "parse_domain_config",
-    "region_labels",
     "build_uniform_task_basis",
-    "compose",
     "solve_task_basis",
-    "Factorization",
-    "KSelection",
     "NmfOptions",
-    "beta_divergence",
-    "find_elbow",
     "nmf",
-    "read_factorization",
-    "select_k",
-    "HierarchicalMlmdp",
-    "SubtaskLayer",
-    "augment_with_subtasks",
     "build_hierarchy",
-    "derive_higher_layer",
-    "ground_matrix",
-    "grounded_subtasks",
-    "strip_subtasks",
-    "subtask_alpha_max",
-    "assignment_purity",
-    "boundary_score",
-    "circular_spread",
-    "equivalent",
-    "purity_report",
-    "subtask_distance",
-    "top_scoring_states",
     "__version__",
 ]

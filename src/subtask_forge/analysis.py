@@ -47,14 +47,9 @@ def subtask_distance(F1: Factorization, F2: Factorization,
     from scipy.optimize import linear_sum_assignment  # slow to import; deferred to its caller
 
     rows, cols = linear_sum_assignment(cost)
-    return float(np.maximum(cost[rows, cols], 0.0).sum())
-
-
-def equivalent(F1: Factorization, F2: Factorization, epsilon: float) -> bool:
-    """Whether two subtask sets coincide up to relabeling, within epsilon."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return subtask_distance(F1, F2) < epsilon
+    # summed from the matched columns themselves: the expanded cost cancels,
+    # and would leave a set some 1e-17 away from itself
+    return float(np.square(A[:, rows] - B[:, cols]).sum())
 
 
 def boundary_score(F: Factorization, L: Lmdp) -> np.ndarray:

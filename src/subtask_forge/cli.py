@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import click
 
@@ -49,20 +48,8 @@ _OPT = NmfOptions()
 #: Label kinds per domain kind that has any; the first is the purity default.
 _LABELS = {kind: list(labelers) for kind, (_, _, labelers) in DOMAINS.items()
            if labelers}
-
-
-@dataclass
-class RunManifest:
-    """Provenance record emitted with every command's output."""
-
-    command: str
-    argv: list
-    version: str
-    inputs: dict
-    outputs: list
-    seeds: dict
-    parameters: dict
-    duration_seconds: float
+#: The files of a factorization directory.
+_FACT_FILES = ("D.csv", "W.csv", "meta.json")
 
 
 def _digest(path) -> str:
@@ -86,31 +73,38 @@ class _Run:
     def input_file(self, path):
         self.inputs[os.fspath(path)] = _digest(path)
 
-    def input_dir(self, path, names=("D.csv", "W.csv", "meta.json")):
-        for name in names:
+    def input_dir(self, path):
+        for name in _FACT_FILES:
             self.input_file(os.path.join(path, name))
 
-    def manifest(self, outputs) -> RunManifest:
-        return RunManifest(
-            command=self.command,
-            argv=list(sys.argv),
-            version=__version__,
-            inputs=self.inputs,
-            outputs=[os.fspath(p) for p in outputs],
-            seeds=self.seeds,
-            parameters=self.parameters,
-            duration_seconds=time.perf_counter() - self.t0,
-        )
+    def nmf_options(self, seed, restarts, max_iter, tol) -> NmfOptions:
+        """Record the four NMF flags and return them as options."""
+        self.seeds["seed"] = seed
+        self.parameters.update(restarts=restarts, max_iter=max_iter, tol=tol)
+        return NmfOptions(max_iter=max_iter, tol=tol, restarts=restarts, seed=seed)
+
+    def manifest(self, outputs) -> dict:
+        """Provenance record emitted with every command's output."""
+        return {
+            "command": self.command,
+            "argv": list(sys.argv),
+            "version": __version__,
+            "inputs": self.inputs,
+            "outputs": [os.fspath(p) for p in outputs],
+            "seeds": self.seeds,
+            "parameters": self.parameters,
+            "duration_seconds": time.perf_counter() - self.t0,
+        }
 
     def emit_beside(self, out_path):
         """Sibling <out_path>.manifest.json for single-file outputs."""
-        man = self.manifest([os.fspath(out_path)])
-        fileio.atomic_write_json(f"{os.fspath(out_path)}.manifest.json", asdict(man))
+        fileio.atomic_write_json(f"{os.fspath(out_path)}.manifest.json",
+                                 self.manifest([out_path]))
 
     def emit_inside(self, dir_path, outputs):
         """manifest.json at the root of a directory output."""
-        man = self.manifest(outputs)
-        fileio.atomic_write_json(os.path.join(dir_path, "manifest.json"), asdict(man))
+        fileio.atomic_write_json(os.path.join(dir_path, "manifest.json"),
+                                 self.manifest(outputs))
 
 
 def _guarded(fn):
@@ -131,22 +125,11 @@ def _guarded(fn):
     return wrapper
 
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _list(text: str, flag: str, cast, kind: str) -> list:
     try:
-        return [int(part) for part in text.split(",")]
+        return [cast(part) for part in text.split(",")]
     except ValueError:
-        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}")
-
-
-def _nmf_options(seed: int, restarts: int, max_iter: int, tol: float) -> NmfOptions:
-    return NmfOptions(max_iter=max_iter, tol=tol, restarts=restarts, seed=seed)
+        raise ValueError(f"{flag} must be comma-separated {kind}, got {text!r}")
 
 
 def _nmf_flags(fn):
@@ -232,14 +215,12 @@ def cmd_factor(z_path, out_dir, k, beta, seed, restarts, max_iter, tol):
     """Factorize the basis at Z_PATH into OUT_DIR/{D.csv,W.csv,meta.json}."""
     run = _Run("factor")
     run.input_file(z_path)
-    run.seeds["seed"] = seed
-    run.parameters.update(k=k, beta=beta, restarts=restarts,
-                          max_iter=max_iter, tol=tol)
+    run.parameters.update(k=k, beta=beta)
     Z = fileio.read_matrix_csv(z_path)
-    F = nmf(Z, k, beta, _nmf_options(seed, restarts, max_iter, tol))
+    F = nmf(Z, k, beta, run.nmf_options(seed, restarts, max_iter, tol))
     with fileio.staged_dir(out_dir) as stage:
         write_factorization_files(stage, F)
-        run.emit_inside(stage, ["D.csv", "W.csv", "meta.json"])
+        run.emit_inside(stage, _FACT_FILES)
     click.echo(
         f"wrote {out_dir}: k={k} beta={beta:g} "
         f"normalized divergence {F.normalized_divergence:.6g}"
@@ -259,11 +240,9 @@ def cmd_select_k(z_path, out_path, beta, kmax, seed, restarts, max_iter, tol):
     """Scan ranks 1..KMAX on Z_PATH, write the k-curve CSV, print k_star."""
     run = _Run("select_k")
     run.input_file(z_path)
-    run.seeds["seed"] = seed
-    run.parameters.update(beta=beta, kmax=kmax, restarts=restarts,
-                          max_iter=max_iter, tol=tol)
+    run.parameters.update(beta=beta, kmax=kmax)
     Z = fileio.read_matrix_csv(z_path)
-    sel = select_k(Z, beta, kmax, _nmf_options(seed, restarts, max_iter, tol))
+    sel = select_k(Z, beta, kmax, run.nmf_options(seed, restarts, max_iter, tol))
     write_k_curve(out_path, sel)
     run.emit_beside(out_path)
     click.echo(f"k_star = {sel.k_star if sel.k_star is not None else 'none'}")
@@ -289,15 +268,13 @@ def cmd_hierarchy(domain_path, out_dir, ks, alphas, beta, seed, restarts,
     """
     run = _Run("hierarchy")
     run.input_file(domain_path)
-    k_schedule = _int_list(ks, "--ks")
+    k_schedule = _list(ks, "--ks", int, "integers")
     alpha_schedule = ([0.1] * len(k_schedule) if alphas is None
-                      else _float_list(alphas, "--alphas"))
-    run.seeds["seed"] = seed
-    run.parameters.update(ks=k_schedule, alphas=alpha_schedule, beta=beta,
-                          restarts=restarts, max_iter=max_iter, tol=tol)
+                      else _list(alphas, "--alphas", float, "numbers"))
+    run.parameters.update(ks=k_schedule, alphas=alpha_schedule, beta=beta)
     L = load_lmdp(domain_path)
     H = build_hierarchy(L, k_schedule, alpha_schedule, beta,
-                        _nmf_options(seed, restarts, max_iter, tol))
+                        run.nmf_options(seed, restarts, max_iter, tol))
     outputs = [f"level_{layer.level}" for layer in H.layers]
     outputs += ["top.json", "hierarchy.json"]
     with fileio.staged_dir(out_dir) as stage:
@@ -321,7 +298,7 @@ def cmd_hierarchy(domain_path, out_dir, ks, alphas, beta, seed, restarts,
 @click.option("--against", type=_IN_DIR, default=None,
               help="Second factorization directory (compare mode).")
 @click.option("--epsilon", type=float, default=1e-6, show_default=True,
-              help="Equivalence threshold on the matched distance.")
+              help="Equivalence threshold: equivalent when distance <= epsilon.")
 @click.option("--compare-product", is_flag=True,
               help="Compare D@W products instead of normalized D columns.")
 @_guarded
@@ -362,8 +339,8 @@ def cmd_analyze(fact_dir, domain_path, out_path, mode, labels, against,
     else:
         if against is None:
             raise ValueError("--against is required with --mode compare")
-        if not math.isfinite(epsilon):
-            raise ValueError(f"--epsilon must be a finite number, got {epsilon}")
+        if not 0 <= epsilon < math.inf:
+            raise ValueError(f"--epsilon must be a finite number >= 0, got {epsilon}")
         run.input_dir(against)
         run.parameters.update(epsilon=epsilon,
                               compare_product=bool(compare_product))

@@ -202,6 +202,19 @@ def _uniform_twin_lmdp(successors, labels, r_step, lam, twin_weight=None) -> Lmd
     )
 
 
+def _grid_successors(rows: int, cols: int, open_edge) -> list[list[int]]:
+    """Row-major successor lists of the 4-neighbour walk on a rows x cols grid.
+
+    Neighbours are tried up, down, left, right, and kept where they lie on
+    the grid and ``open_edge((r, c), (r2, c2))`` holds.
+    """
+    return [
+        [r2 * cols + c2 for r2, c2 in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+         if 0 <= r2 < rows and 0 <= c2 < cols and open_edge((r, c), (r2, c2))]
+        for r in range(rows) for c in range(cols)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Rooms
 # ---------------------------------------------------------------------------
@@ -264,48 +277,30 @@ def build_rooms(spec: RoomsSpec, r_step=DEFAULT_R_STEP, lam=DEFAULT_LAMBDA,
     size, rows, cols = spec.room_size, spec.rows, spec.cols
     doorways = {frozenset(p) for p in rooms_doorway_pairs(spec)}
 
-    def room_of(r, c):
-        return (r // size, c // size)
+    def open_edge(a, b):
+        same_room = (a[0] // size, a[1] // size) == (b[0] // size, b[1] // size)
+        return same_room or frozenset((a, b)) in doorways
 
-    successors = []
-    for r in range(rows):
-        for c in range(cols):
-            nbrs = []
-            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                r2, c2 = r + dr, c + dc
-                if not (0 <= r2 < rows and 0 <= c2 < cols):
-                    continue
-                same_room = room_of(r, c) == room_of(r2, c2)
-                if same_room or frozenset(((r, c), (r2, c2))) in doorways:
-                    nbrs.append(r2 * cols + c2)
-            successors.append(nbrs)
+    successors = _grid_successors(rows, cols, open_edge)
     labels = [f"cell({r},{c})" for r in range(rows) for c in range(cols)]
     return _uniform_twin_lmdp(successors, labels, r_step, lam, twin_weight)
 
 
 def rooms_room_labels(spec: RoomsSpec) -> np.ndarray:
     """Room index (row-major over rooms) for every interior cell."""
-    size = spec.room_size
-    out = np.empty(spec.n_cells, dtype=int)
-    for r in range(spec.rows):
-        for c in range(spec.cols):
-            out[r * spec.cols + c] = (r // size) * spec.room_cols + (c // size)
-    return out
+    rr = np.arange(spec.rows) // spec.room_size
+    rc = np.arange(spec.cols) // spec.room_size
+    return (rr[:, None] * spec.room_cols + rc[None, :]).reshape(-1)
 
 
 def rooms_quadrant_labels(spec: RoomsSpec) -> np.ndarray:
     """Quadrant index (0..3) for every interior cell, splitting rooms in halves."""
-    size = spec.room_size
-    out = np.empty(spec.n_cells, dtype=int)
-    for r in range(spec.rows):
-        for c in range(spec.cols):
-            rr, rc = r // size, c // size
-            out[r * spec.cols + c] = (2 * rr // spec.room_rows) * 2 + (2 * rc // spec.room_cols)
-    return out
+    return room_quadrant_of(spec, rooms_room_labels(spec))
 
 
-def room_quadrant_of(spec: RoomsSpec, room: int) -> int:
-    """Quadrant containing a room (rooms indexed row-major)."""
+def room_quadrant_of(spec: RoomsSpec, room):
+    """Quadrant containing a room (rooms indexed row-major); elementwise on
+    an array of rooms."""
     rr, rc = divmod(room, spec.room_cols)
     return (2 * rr // spec.room_rows) * 2 + (2 * rc // spec.room_cols)
 
@@ -330,15 +325,7 @@ def build_taxi(spec: TaxiSpec, r_step=DEFAULT_R_STEP, lam=DEFAULT_LAMBDA,
     def cell_index(r, c):
         return r * g + c
 
-    move_nbrs = []
-    for r in range(g):
-        for c in range(g):
-            nbrs = []
-            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                r2, c2 = r + dr, c + dc
-                if 0 <= r2 < g and 0 <= c2 < g and frozenset(((r, c), (r2, c2))) not in blocked:
-                    nbrs.append(cell_index(r2, c2))
-            move_nbrs.append(nbrs)
+    move_nbrs = _grid_successors(g, g, lambda a, b: frozenset((a, b)) not in blocked)
 
     successors, labels = [], []
     for ploc in range(spec.n_passenger):

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorRankError, NonFiniteResultError
+from .lmdp_core import _is_int, _is_number, _json_field
 from . import fileio
 
 _TINY = np.finfo(float).tiny
@@ -500,9 +501,6 @@ class KSelection:
 
     f: np.ndarray
     k_star: int | None
-    beta: float
-    k_max: int
-    restarts: int
 
 
 def find_elbow(f) -> int | None:
@@ -568,10 +566,7 @@ def select_k(Z, beta: float, k_max: int, opts: NmfOptions | None = None) -> KSel
         nmf(Z, k, beta, opts).normalized_divergence for k in range(1, k_max + 1)
     ])
     f.setflags(write=False)
-    return KSelection(
-        f=f, k_star=find_elbow(f), beta=float(beta), k_max=int(k_max),
-        restarts=opts.restarts,
-    )
+    return KSelection(f=f, k_star=find_elbow(f))
 
 
 # ---------------------------------------------------------------------------
@@ -596,34 +591,44 @@ def write_factorization_files(dir_path, F: Factorization) -> None:
     })
 
 
+#: meta.json fields, each required: name -> (accepts, kind).
+_META_FIELDS = {
+    "beta": (_is_number, "a number"),
+    "k": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "restarts": (_is_int, "an integer"),
+    "iterations": (_is_int, "an integer"),
+    "divergence": (_is_number, "a number"),
+    "normalized_divergence": (_is_number, "a number"),
+    "converged": (lambda v: isinstance(v, bool), "true or false"),
+    "best_restart": (_is_int, "an integer"),
+}
+
+
 def read_factorization(dir_path) -> Factorization:
-    D = fileio.read_matrix_csv(os.path.join(dir_path, "D.csv"))
-    W = fileio.read_matrix_csv(os.path.join(dir_path, "W.csv"))
+    """Read a factorization directory; invalid content raises ValueError.
+
+    D and W must hold finite nonnegative entries, and meta.json's fields
+    their JSON types (a JSON true is not a count).
+    """
+    D, W = (fileio.read_matrix_csv(os.path.join(dir_path, name))
+            for name in ("D.csv", "W.csv"))
+    for name, M in (("D.csv", D), ("W.csv", W)):
+        if not np.all((M >= 0) & (M < np.inf)):
+            raise ValueError(f"{os.path.join(dir_path, name)}: entries must be "
+                             "finite and nonnegative")
     meta = fileio.read_json(os.path.join(dir_path, "meta.json"))
     if not isinstance(meta, dict):
         raise ValueError(f"{dir_path}: meta.json must be an object")
-    for key in ("beta", "k", "seed", "restarts", "iterations",
-                "divergence", "normalized_divergence"):
+    for key, (accepts, kind) in _META_FIELDS.items():
         if key not in meta:
             raise ValueError(f"{dir_path}: meta.json is missing field '{key}'")
+        _json_field(meta, key, accepts, kind, f"{os.path.join(dir_path, 'meta.json')}:")
     if D.shape[1] != meta["k"] or W.shape[0] != meta["k"]:
         raise ValueError(
             f"{dir_path}: factor shapes {D.shape}/{W.shape} disagree with k={meta['k']}"
         )
-    return Factorization(
-        D=D,
-        W=W,
-        beta=float(meta["beta"]),
-        k=int(meta["k"]),
-        divergence=float(meta["divergence"]),
-        normalized_divergence=float(meta["normalized_divergence"]),
-        seed=int(meta["seed"]),
-        restarts=int(meta["restarts"]),
-        iterations=int(meta["iterations"]),
-        converged=bool(meta.get("converged", True)),
-        best_restart=int(meta.get("best_restart", 0)),
-        divergence_trace=None,
-    )
+    return Factorization(D=D, W=W, **{key: meta[key] for key in _META_FIELDS})
 
 
 def write_k_curve(path, sel: KSelection) -> None:

@@ -85,7 +85,7 @@ def augment_with_subtasks(L: Lmdp, F: Factorization, alpha: float) -> SubtaskLay
         )
     d_hat = normalized_columns(F.D)
     alpha = float(alpha)
-    alpha_max = float(1.0 / d_hat.sum(axis=1).max())
+    alpha_max = subtask_alpha_max(F)
     if not 0.0 <= alpha < alpha_max:
         raise AlphaRangeError(
             f"alpha={alpha:g} outside [0, {alpha_max:g}) for this factorization",

@@ -26,6 +26,8 @@ from .errors import ConvergenceError, DegenerateNormalizerError, SingularSystemE
 STOCHASTIC_TOL = 1e-12
 #: Max-norm tolerance on the desirability fixed-point residual.
 RESIDUAL_TOL = 1e-10
+#: Most non-stochastic columns a validation report names one by one.
+MAX_REPORTED = 8
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -125,10 +127,10 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-def validate_lmdp(L: Lmdp, max_reported: int = 8) -> ValidationReport:
+def validate_lmdp(L: Lmdp) -> ValidationReport:
     """Collect every violated LMDP invariant; never raises.
 
-    Column-stochasticity messages are capped at ``max_reported`` columns.
+    Column-stochasticity messages are capped at ``MAX_REPORTED`` columns.
     """
     v: list[str] = []
     try:
@@ -169,10 +171,10 @@ def validate_lmdp(L: Lmdp, max_reported: int = 8) -> ValidationReport:
                 P_bi.sum(axis=0)
             ).reshape(-1)
             bad = np.flatnonzero(np.abs(sums - 1.0) > STOCHASTIC_TOL)
-            for j in bad[:max_reported]:
+            for j in bad[:MAX_REPORTED]:
                 v.append(f"column {j} sums to {sums[j]:g}")
-            if bad.size > max_reported:
-                v.append(f"... and {bad.size - max_reported} more non-stochastic columns")
+            if bad.size > MAX_REPORTED:
+                v.append(f"... and {bad.size - MAX_REPORTED} more non-stochastic columns")
     except Exception as exc:  # diagnostic collection must never throw
         v.append(f"validation aborted: {exc}")
     return ValidationReport(ok=not v, violations=tuple(v))
@@ -204,10 +206,10 @@ class _FiniteExitSystem:
                 "check that every interior state can reach a boundary state"
             ) from exc
 
-    def _spectral_radius(self, iters: int = 200) -> float:
+    def _spectral_radius(self) -> float:
         v = np.full(self.L.n_interior, 1.0 / max(self.L.n_interior, 1))
         rho = 0.0
-        for _ in range(iters):
+        for _ in range(200):
             w = self.M @ v
             norm = np.linalg.norm(w, np.inf)
             if norm == 0 or not np.isfinite(norm):
@@ -407,9 +409,9 @@ def lmdp_to_json_dict(L: Lmdp) -> dict:
     return out
 
 
-def _json_field(d: dict, key: str, accepts, kind: str):
+def _json_field(d: dict, key: str, accepts, kind: str, where: str = "LMDP JSON"):
     if not accepts(d[key]):
-        raise ValueError(f"LMDP JSON field '{key}' must be {kind}, got {d[key]!r:.40}")
+        raise ValueError(f"{where} field '{key}' must be {kind}, got {d[key]!r:.40}")
     return d[key]
 
 

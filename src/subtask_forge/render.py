@@ -43,8 +43,8 @@ def _svg(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _rect(x, y, w, h, fill, extra="") -> str:
-    return f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}"{extra}/>'
+def _rect(x, y, w, h, fill) -> str:
+    return f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}"/>'
 
 
 def _grid_rects(values, rows, cols, x0, y0) -> list[str]:

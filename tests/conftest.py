@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from subtask_forge import fileio
 from subtask_forge.domains import RoomsSpec, TaxiSpec, build_rooms, build_taxi
@@ -34,6 +35,11 @@ from subtask_forge.multitask import build_uniform_task_basis, solve_task_basis
 TWIN_WEIGHT = 0.01
 R_STEP = -1.0
 LAM = 20.0
+
+# Every property test draws the same examples on every run and keeps no
+# example database; slow examples are not failures.
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(autouse=True)

@@ -5,7 +5,6 @@ from subtask_forge.analysis import (
     assignment_purity,
     boundary_score,
     circular_spread,
-    equivalent,
     purity_report,
     subtask_distance,
     top_scoring_states,
@@ -40,7 +39,13 @@ def test_distance_ignores_column_order_and_scale():
     F1 = fact(D)
     F2 = fact(D[:, perm] * scales[None, :])
     assert subtask_distance(F1, F2) == pytest.approx(0.0, abs=1e-12)
-    assert equivalent(F1, F2, epsilon=1e-9)
+
+
+def test_distance_of_a_set_to_itself_is_zero():
+    # the expanded cost |a|^2 + |b|^2 - 2 a.b leaves about 1e-17 here
+    for seed in range(6):
+        F = fact(np.random.default_rng(seed).uniform(0.0, 1.0, (30, 4)))
+        assert subtask_distance(F, F) == 0.0
 
 
 def test_distance_needs_optimal_matching():
@@ -66,8 +71,6 @@ def test_distance_shape_errors():
     F2 = fact(np.ones((3, 3)))
     with pytest.raises(ValueError, match="D shapes differ"):
         subtask_distance(F1, F2)
-    with pytest.raises(ValueError, match="epsilon"):
-        equivalent(F1, F1, epsilon=0.0)
 
 
 def test_boundary_score_hand_values():

@@ -168,6 +168,58 @@ def test_analyze_compare_non_finite_epsilon_exits_2(ws, tmp_path, epsilon):
     assert not (tmp_path / "cmp.json").exists()
 
 
+def test_analyze_compare_epsilon_is_inclusive_and_nonnegative(ws, tmp_path):
+    out = tmp_path / "cmp.json"
+    args = ["analyze", ws["fact"], ws["spec"], out, "--mode", "compare",
+            "--against", ws["fact"], "--epsilon"]
+    result = runner.invoke(main, [str(a) for a in args] + ["-1"])
+    assert result.exit_code == 2
+    assert "--epsilon must be a finite number >= 0, got -1.0" in result.stderr
+    assert not out.exists()
+    assert "(equivalent at epsilon=0)" in run_ok(*args, 0).stdout
+    assert read_json(out) == {"distance": 0.0, "epsilon": 0.0,
+                              "compare_product": False, "equivalent": True}
+
+
+def _broken_fact(ws, tmp_path, name, edit):
+    """A copy of the workspace factorization with ``edit`` applied to one file."""
+    bad = tmp_path / "bad_fact"
+    bad.mkdir()
+    for f in ("D.csv", "W.csv", "meta.json"):
+        text = (ws["fact"] / f).read_text()
+        (bad / f).write_text(edit(text) if f == name else text)
+    return bad
+
+
+@pytest.mark.parametrize("field, value, kind", [("divergence", None, "a number"),
+                                                ("k", True, "an integer")])
+def test_meta_json_of_the_wrong_type_exits_2(ws, tmp_path, field, value, kind):
+    # "divergence": null once made render exit 1 with a TypeError traceback
+    bad = _broken_fact(ws, tmp_path, "meta.json",
+                       lambda t: json.dumps({**json.loads(t), field: value}))
+    result = runner.invoke(main, ["render", str(bad), str(ws["spec"]), str(tmp_path / "svg")])
+    assert result.exit_code == 2, result.output
+    assert f"meta.json: field '{field}' must be {kind}, got {value!r}" in result.stderr
+
+
+@pytest.mark.parametrize("name", ["D.csv", "W.csv"])
+@pytest.mark.parametrize("value", ["nan", "-0.5", "inf"])
+def test_non_finite_or_negative_factor_exits_2(ws, tmp_path, name, value):
+    # a NaN in W.csv once gave exit 0 and NaN doorway scores
+    def edit(text):
+        lines = text.splitlines()
+        lines[1] = ",".join([value] + lines[1].split(",")[1:])
+        return "\n".join(lines) + "\n"
+
+    bad = _broken_fact(ws, tmp_path, name, edit)
+    out = tmp_path / "g.csv"
+    result = runner.invoke(main, ["analyze", str(bad), str(ws["spec"]), str(out),
+                                  "--mode", "doorways"])
+    assert result.exit_code == 2, result.output
+    assert f"{bad / name}: entries must be finite and nonnegative" in result.stderr
+    assert not out.exists()
+
+
 def test_analyze_purity_needs_labels_without_default(ws, tmp_path):
     ring_spec = tmp_path / "ring.json"
     ring_spec.write_text(json.dumps({"type": "ring", "params": {"n": 8}}))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,16 @@ def test_room_and_quadrant_labels():
         cells = quad[room == r]
         assert np.all(cells == cells[0])
         assert cells[0] == room_quadrant_of(spec, r)
+
+
+def test_room_and_quadrant_labels_match_a_loop():
+    # every spec size that test_rooms_always_valid draws from
+    for room_rows, room_cols, size in itertools.product(range(1, 4), range(1, 4), range(2, 5)):
+        spec = RoomsSpec(room_rows, room_cols, size)
+        cells = [(r // size, c // size) for r in range(spec.rows) for c in range(spec.cols)]
+        assert rooms_room_labels(spec).tolist() == [rr * room_cols + rc for rr, rc in cells]
+        assert rooms_quadrant_labels(spec).tolist() == [
+            (2 * rr // room_rows) * 2 + 2 * rc // room_cols for rr, rc in cells]
 
 
 def test_taxi_counts_and_blocks():
@@ -270,7 +282,7 @@ def test_region_labels_dispatch():
     st.integers(min_value=2, max_value=4),
     st.sampled_from(["grid", "snake"]),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 def test_rooms_always_valid(room_rows, room_cols, room_size, layout):
     spec = RoomsSpec(room_rows, room_cols, room_size, layout)
     L = build_rooms(spec, twin_weight=0.1)

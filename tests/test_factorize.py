@@ -89,7 +89,7 @@ def test_divergence_continuity_in_beta():
 
 
 @given(st.floats(min_value=0.05, max_value=20.0))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_divergence_scale_law(c):
     # d_beta(cA || cB) = c^beta d_beta(A || B)
     A = random_positive((4, 4), seed=4)
@@ -300,11 +300,11 @@ def test_frobenius_trace_matches_beta_divergence(request, basis, k):
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8), m=st.integers(2, 8),
        sigma=st.floats(0.1, 3.0), data=st.data())
-@settings(max_examples=60, deadline=None, derandomize=True)
-@pytest.mark.parametrize("beta", [1.0, 2.0])
-def test_kl_trace_descends_and_ends_at_the_fit(beta, seed, n, m, sigma, data):
-    """On log-normal Z, a beta-1 or beta-2 trace never rises beyond 1e-12
-    relative and its last value is the divergence of the returned factors.
+@settings(max_examples=60)
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_trace_descends_and_ends_at_the_fit(beta, seed, n, m, sigma, data):
+    """On log-normal Z, a beta-0, beta-1 or beta-2 trace never rises beyond
+    1e-12 relative and its last value is the divergence of the returned factors.
     k stays below min(n, m): an exact fit ends at the rounding floor of the
     update itself, where the value wanders by more than 1e-12 of itself."""
     k = data.draw(st.integers(1, min(n, m) - 1))
@@ -695,9 +695,7 @@ def test_read_factorization_shape_mismatch(tmp_path):
 
 
 def test_write_k_curve_format(tmp_path):
-    sel = KSelection(
-        f=np.array([1.0, 0.25, 0.125]), k_star=2, beta=1.0, k_max=3, restarts=1
-    )
+    sel = KSelection(f=np.array([1.0, 0.25, 0.125]), k_star=2)
     path = tmp_path / "curve.csv"
     write_k_curve(path, sel)
     lines = path.read_text().splitlines()

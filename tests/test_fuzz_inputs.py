@@ -9,11 +9,15 @@ command that reads it, in process through click's CliRunner:
 - an LMDP JSON (the output of 'build') with one top-level field replaced,
   read by 'solve';
 - a matrix CSV (the output of 'solve') with its header, a row length, one
-  token or its line structure changed, read by 'factor'.
+  token or its line structure changed, read by 'factor';
+- a factorization directory (the output of 'factor') with one meta.json
+  field or one D/W cell replaced, read by 'analyze' in each mode and by
+  'render'.
 
 Exit 0 must mean a finite answer: every file the command wrote is parsed
-again, each JSON file must be strict JSON (no NaN or Infinity) and each
-matrix CSV must hold finite numbers only.
+again, each JSON file must be strict JSON (no NaN or Infinity), each
+matrix CSV and the doorway score CSV must hold finite numbers only, and no
+SVG may draw a NaN or infinite value.
 
 Drawn integers stay in [-2, 64], and numbers in [-2, 8] inside a domain
 spec (which takes int() of a float size): a count is a size, and a count
@@ -22,6 +26,7 @@ reject it.
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -31,11 +36,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subtask_forge.cli import main
-from subtask_forge.domains import RingSpec, build_ring
+from subtask_forge.domains import RingSpec, build_domain, build_ring, parse_domain_config
+from subtask_forge.factorize import NmfOptions, nmf, write_factorization_files
 from subtask_forge.fileio import read_matrix_csv
 from subtask_forge.lmdp_core import lmdp_to_json_dict
+from subtask_forge.multitask import build_uniform_task_basis, solve_task_basis
 
-FUZZ = settings(derandomize=True, deadline=None, max_examples=50, database=None)
+FUZZ = settings(max_examples=50)
 
 runner = CliRunner()
 
@@ -84,8 +91,12 @@ def check_outputs(tmp, inputs):
             continue
         if path.suffix == ".json":
             json.loads(path.read_text(), parse_constant=_reject_constant)
+        elif path.name == "g.csv":  # doorway scores: header state,g
+            assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all(), path
         elif path.suffix == ".csv":
             assert np.isfinite(read_matrix_csv(path)).all(), path
+        elif path.suffix == ".svg":
+            assert not re.search(r"nan|inf", path.read_text(), re.I), path
         else:
             raise AssertionError(f"unexpected output {path}")
 
@@ -186,6 +197,66 @@ def test_factor_on_mutated_matrix_csv(text):
                  "--restarts", 1, "--max-iter", 5], tmp, {path})
 
 
+def _fact_files() -> dict:
+    """The files of a k=2 factorization of the first spec's basis."""
+    L = build_domain(parse_domain_config(SPECS[0]))
+    F = nmf(solve_task_basis(L, build_uniform_task_basis(L)), 2, 1.0,
+            NmfOptions(restarts=1, max_iter=20))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_factorization_files(tmp, F)
+        return {name: (Path(tmp) / name).read_text() for name in ("D.csv", "W.csv", "meta.json")}
+
+
+FACT = _fact_files()
+FACT_COMMANDS = [["analyze", "{fact}", "{spec}", "{out}/g.csv", "--mode", "doorways"],
+                 ["analyze", "{fact}", "{spec}", "{out}/p.json", "--mode", "purity"],
+                 ["analyze", "{fact}", "{spec}", "{out}/c.json", "--mode", "compare",
+                  "--against", "{good}"],
+                 ["render", "{fact}", "{spec}", "{out}/svg"]]
+
+
+@st.composite
+def mutated_fact(draw):
+    files = dict(FACT)
+    name = draw(st.sampled_from(sorted(files)))
+    if name == "meta.json":
+        meta = json.loads(files[name])
+        meta[draw(st.sampled_from(sorted(meta) + ["x"]))] = draw(VALUES)
+        files[name] = json.dumps(meta)
+    else:
+        lines = files[name].splitlines()
+        i = draw(st.integers(1, len(lines) - 1))
+        parts = lines[i].split(",")
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(TOKENS)
+        lines[i] = ",".join(parts)
+        files[name] = "\n".join(lines) + "\n"
+    return files
+
+
+def run_on_fact(files, command):
+    """Write ``files`` as a factorization directory next to an intact one and
+    the first spec, then run ``command`` on them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        spec = tmp / "spec.json"
+        spec.write_text(json.dumps(SPECS[0]))
+        inputs = {spec}
+        for d, contents in (("fact", files), ("good", FACT)):
+            (tmp / d).mkdir()
+            for name, text in contents.items():
+                (tmp / d / name).write_text(text)
+                inputs.add(tmp / d / name)
+        (tmp / "out").mkdir()
+        paths = {"fact": tmp / "fact", "good": tmp / "good", "spec": spec, "out": tmp / "out"}
+        return run_cli([a.format(**paths) for a in command], tmp, inputs)
+
+
+@FUZZ
+@given(files=mutated_fact(), command=st.sampled_from(FACT_COMMANDS))
+def test_analyze_and_render_on_mutated_factorization(files, command):
+    run_on_fact(files, command)
+
+
 def test_fuzz_seeds_are_valid():
     """The unmutated inputs succeed, so a failure above comes from a mutation."""
     for i, spec in enumerate(SPECS):
@@ -200,3 +271,5 @@ def test_fuzz_seeds_are_valid():
         assert run_cli(["solve", lmdp, Path(tmp) / "Z_out.csv"], tmp, {lmdp, csv}) == 0
         assert run_cli(["factor", csv, Path(tmp) / "fact", "--k", 2,
                         "--restarts", 1, "--max-iter", 5], tmp, {lmdp, csv}) == 0
+    for command in FACT_COMMANDS:
+        assert run_on_fact(FACT, command) == 0, command

@@ -8,6 +8,7 @@ commands that never touch a sparse matrix pull in when they run.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,8 @@ from subtask_forge.domains import build_domain, parse_domain_config
 from subtask_forge.fileio import write_matrix_csv
 from subtask_forge.multitask import build_uniform_task_basis, solve_task_basis
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 PRELUDE = """
 import json, sys
@@ -72,14 +74,25 @@ print(json.dumps(after))
     assert len(list((tmp_path / "svg").glob("*.svg"))) == 4
 
 
+def test_package_root_exports_the_readme_quick_start():
+    block = re.search(r"from subtask_forge import \([^)]*\)",
+                      (ROOT / "README.md").read_text()).group(0)
+    names = re.findall(r"\w+", block.split("(", 1)[1])
+    out = run_cold(block + """
+import subtask_forge
+print(json.dumps({"all": subtask_forge.__all__}))
+""")
+    assert sorted(out["all"]) == sorted(names + ["__version__"])
+
+
 def test_solvers_work_after_cold_import():
     out = run_cold("""
 import numpy as np
 import subtask_forge.cli
-from subtask_forge import (
-    NmfOptions, RingSpec, build_ring, build_uniform_task_basis, compose, nmf,
-    solve_task_basis, subtask_distance,
-)
+from subtask_forge.analysis import subtask_distance
+from subtask_forge.domains import RingSpec, build_ring
+from subtask_forge.factorize import NmfOptions, nmf
+from subtask_forge.multitask import build_uniform_task_basis, compose, solve_task_basis
 before = heavy()
 L = build_ring(RingSpec(8))
 Q = build_uniform_task_basis(L)
