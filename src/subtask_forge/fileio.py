@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import pickle
 import shutil
@@ -329,8 +330,16 @@ def atomic_write_json(path: str | Path, obj) -> None:
 
 
 def read_json(path: str | Path):
+    """Parse a strict JSON file: NaN, Infinity, or a number too large for a
+    float (1e999) raises ValueError naming the file."""
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: got {token}, but JSON numbers must be finite")
+        return value
+
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=finite, parse_float=finite)
 
 
 @contextmanager

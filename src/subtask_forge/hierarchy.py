@@ -47,9 +47,17 @@ def normalized_columns(D) -> np.ndarray:
 
 def subtask_alpha_max(F: Factorization) -> float:
     """Largest alpha keeping every column's subtask mass strictly below 1."""
-    d_hat = normalized_columns(F.D)
-    heaviest = d_hat.sum(axis=1).max()
-    return float(1.0 / heaviest)
+    return _alpha_max(normalized_columns(F.D))
+
+
+def _alpha_max(d_hat: np.ndarray) -> float:
+    return float(1.0 / d_hat.sum(axis=1).max())
+
+
+def _subtask_scale(alpha: float, d_hat: np.ndarray) -> np.ndarray:
+    """Per base column, one minus its subtask mass ``alpha * rowsum(d_hat)``:
+    the factor on the original rows that keeps augmented columns stochastic."""
+    return 1.0 - alpha * d_hat.sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,14 +93,13 @@ def augment_with_subtasks(L: Lmdp, F: Factorization, alpha: float) -> SubtaskLay
         )
     d_hat = normalized_columns(F.D)
     alpha = float(alpha)
-    alpha_max = subtask_alpha_max(F)
+    alpha_max = _alpha_max(d_hat)
     if not 0.0 <= alpha < alpha_max:
         raise AlphaRangeError(
             f"alpha={alpha:g} outside [0, {alpha_max:g}) for this factorization",
             alpha_max=alpha_max,
         )
-    subtask_mass = alpha * d_hat.sum(axis=1)
-    scale = 1.0 - subtask_mass
+    scale = _subtask_scale(alpha, d_hat)
     P_t = alpha * d_hat.T
     P_ii_scaled = L.dynamics.P_ii.multiply(scale[None, :]).tocsc()
     P_bi_scaled = L.dynamics.P_bi.multiply(scale[None, :]).tocsc()
@@ -109,8 +116,7 @@ def strip_subtasks(layer: SubtaskLayer) -> Lmdp:
     With alpha = 0 the rescaling factor is exactly 1, so the reconstruction
     is bit-identical to the original dynamics.
     """
-    scale = 1.0 - layer.alpha * layer.d_hat.sum(axis=1)
-    inv = 1.0 / scale
+    inv = 1.0 / _subtask_scale(layer.alpha, layer.d_hat)
     return Lmdp(
         space=layer.base.space,
         dynamics=PassiveDynamics(

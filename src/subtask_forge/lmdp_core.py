@@ -28,6 +28,9 @@ STOCHASTIC_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 #: Most non-stochastic columns a validation report names one by one.
 MAX_REPORTED = 8
+#: Entries in one block of columns of a multi-column solve (40 columns at
+#: 1600 interior states): its scratch arrays are a few blocks in size.
+SOLVE_BLOCK_ENTRIES = 2 ** 16
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -223,17 +226,32 @@ class _FiniteExitSystem:
             return self.g[:, None] * entering
         return self.g * entering
 
-    def solve(self, q_b: np.ndarray) -> np.ndarray:
-        """Solve for a boundary-reward vector, or one column per task; validates."""
-        z = self.lu.solve(self.rhs(q_b))
-        self.check(z, q_b)
-        return z
+    def solve(self, q_b: np.ndarray, q_floor: float = 0.0) -> np.ndarray:
+        """Solve for a boundary-reward vector, or one column per task; validates.
 
-    def check(self, z: np.ndarray, q_b: np.ndarray) -> None:
+        One column per task is solved a block of columns at a time: each
+        block is floored at ``q_floor``, solved, checked and written into one
+        C-ordered result, so the solve holds ``q_b``, the result and a few
+        arrays of ``SOLVE_BLOCK_ENTRIES`` entries.
+        """
+        if q_b.ndim == 1:
+            z = self.lu.solve(self.rhs(q_b))
+            self.check(z, q_b)
+            return z
+        Z = np.empty((self.L.n_interior, q_b.shape[1]))
+        width = max(1, SOLVE_BLOCK_ENTRIES // max(len(Z), 1))
+        for first in range(0, q_b.shape[1], width):
+            Q = np.maximum(q_b[:, first:first + width], q_floor)
+            Z[:, first:first + width] = z = self.lu.solve(self.rhs(Q))
+            self.check(z, Q, first)
+        return Z
+
+    def check(self, z: np.ndarray, q_b: np.ndarray, first: int = 0) -> None:
         """Raise unless z is positive and solves the fixed point for q_b.
 
         With one column per task in z and q_b, each column is held to its own
-        tolerance and the error names the first failing one, "task t: ...".
+        tolerance and the error names the first failing one, "task t: ...",
+        counting tasks from ``first``.
         """
         Z, Q = z.reshape(len(z), -1), q_b.reshape(len(q_b), -1)
         res = Z - self.g[:, None] * (self.L.dynamics.P_ii.T @ Z + self.L.dynamics.P_bi.T @ Q)
@@ -251,7 +269,7 @@ class _FiniteExitSystem:
         else:
             msg = (f"fixed-point residual {res[t]:g} exceeds tolerance; system is "
                    f"ill-conditioned (estimated spectral radius {self._spectral_radius():.6g})")
-        raise SingularSystemError(f"task {t}: {msg}" if z.ndim == 2 else msg)
+        raise SingularSystemError(f"task {first + t}: {msg}" if z.ndim == 2 else msg)
 
 
 def _check_q_b(L: Lmdp, q_b) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from subtask_forge.cli import main
-from subtask_forge.domains import RingSpec, build_ring
+from subtask_forge.domains import RingSpec, build_ring, domain_spec, parse_domain_config
 from subtask_forge.fileio import read_json
 from subtask_forge.lmdp_core import lmdp_to_json_dict
 
@@ -202,6 +202,27 @@ def test_meta_json_of_the_wrong_type_exits_2(ws, tmp_path, field, value, kind):
     assert f"meta.json: field '{field}' must be {kind}, got {value!r}" in result.stderr
 
 
+@pytest.mark.parametrize("fields", [{"beta": "NaN", "divergence": "Infinity"},
+                                    {"divergence": "-Infinity"}, {"beta": "1e999"}])
+def test_meta_json_with_a_non_finite_number_exits_2(ws, tmp_path, fields):
+    # "beta": NaN, "divergence": Infinity once made analyze exit 0
+    def edit(text):
+        meta = {**json.loads(text), **{key: f"@{key}@" for key in fields}}
+        text = json.dumps(meta)
+        for key, token in fields.items():
+            text = text.replace(f'"@{key}@"', token)
+        return text
+
+    bad = _broken_fact(ws, tmp_path, "meta.json", edit)
+    out = tmp_path / "p.json"
+    result = runner.invoke(main, ["analyze", str(bad), str(ws["spec"]), str(out),
+                                  "--mode", "purity"])
+    assert result.exit_code == 2, result.output
+    assert f"{bad / 'meta.json'}: " in result.stderr
+    assert "JSON numbers must be finite" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["D.csv", "W.csv"])
 @pytest.mark.parametrize("value", ["nan", "-0.5", "inf"])
 def test_non_finite_or_negative_factor_exits_2(ws, tmp_path, name, value):
@@ -258,18 +279,28 @@ def test_invalid_spec_exits_2(ws, tmp_path):
     ("taxi", {"depots": [[0, float("inf")], [0, 1], [1, 0], [1, 1]]}),
 ])
 def test_spec_parameter_of_wrong_type_exits_2(tmp_path, kind, params):
+    spec = {"type": kind, "params": params}
+    with pytest.raises(ValueError, match=f"^{kind} spec:"):
+        domain_spec(parse_domain_config(spec))
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"type": kind, "params": params}))
+    bad.write_text(json.dumps(spec))
     result = runner.invoke(main, ["build", str(bad), str(tmp_path / "d.json")])
     assert result.exit_code == 2
-    assert f"{kind} spec:" in result.stderr
+    # an infinity in a file stops at the JSON reader, before the spec parser
+    if "Infinity" in bad.read_text():
+        assert f"{bad}: got Infinity, but JSON numbers must be finite" in result.stderr
+    else:
+        assert f"{kind} spec:" in result.stderr
 
 
 @pytest.mark.parametrize("field", ["r_step", "lambda"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_spec_number_exits_2(tmp_path, field, value):
+    spec = {"type": "ring", "params": {"n": 4}, field: value}
+    with pytest.raises(ValueError, match="'r_step' and 'lambda' must be finite"):
+        parse_domain_config(spec)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"type": "ring", "params": {"n": 4}, field: value}))
+    bad.write_text(json.dumps(spec))
     result = runner.invoke(main, ["build", str(bad), str(tmp_path / "d.json")])
     assert result.exit_code == 2
     assert "must be finite" in result.stderr
@@ -333,7 +364,9 @@ def _wrong_type(field, value):
     _wrong_type("lambda", None),
     _wrong_type("labels", 5),
     (_bool_index, "integer row and col"),
-    (_nan_dynamics, "P_ii has a NaN entry"),
+    # a NaN stops at the JSON reader; validate_lmdp's NaN check is tested
+    # in process
+    (_nan_dynamics, "got NaN, but JSON numbers must be finite"),
     _wrong_type("n_interior", 4.9),
     _wrong_type("n_boundary", False),
     _wrong_type("lambda", True),

@@ -12,7 +12,7 @@ command that reads it, in process through click's CliRunner:
   token or its line structure changed, read by 'factor';
 - a factorization directory (the output of 'factor') with one meta.json
   field or one D/W cell replaced, read by 'analyze' in each mode and by
-  'render'.
+  'render'; a meta.json holding NaN or Infinity must exit 2.
 
 Exit 0 must mean a finite answer: every file the command wrote is parsed
 again, each JSON file must be strict JSON (no NaN or Infinity), each
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subtask_forge.cli import main
@@ -251,10 +251,26 @@ def run_on_fact(files, command):
         return run_cli([a.format(**paths) for a in command], tmp, inputs)
 
 
+def _strict_json(text: str) -> bool:
+    try:
+        json.loads(text, parse_constant=_reject_constant)
+    except ValueError:
+        return False
+    return True
+
+
+def _with_meta(**fields) -> dict:
+    return {**FACT, "meta.json": json.dumps({**json.loads(FACT["meta.json"]), **fields})}
+
+
 @FUZZ
 @given(files=mutated_fact(), command=st.sampled_from(FACT_COMMANDS))
+@example(files=_with_meta(beta=np.nan, divergence=np.inf), command=FACT_COMMANDS[1])
+@example(files=_with_meta(x=[1, -np.inf]), command=FACT_COMMANDS[3])
 def test_analyze_and_render_on_mutated_factorization(files, command):
-    run_on_fact(files, command)
+    code = run_on_fact(files, command)
+    if not _strict_json(files["meta.json"]):  # a NaN or infinity is invalid input
+        assert code == 2
 
 
 def test_fuzz_seeds_are_valid():

@@ -1,3 +1,7 @@
+import json
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import equal_dynamics, labels_boundary, labels_interior
+from subtask_forge import lmdp_core
 from subtask_forge.errors import (
     ConvergenceError,
     DegenerateNormalizerError,
@@ -24,7 +29,11 @@ from subtask_forge.lmdp_core import (
     validate_lmdp,
     value_from_desirability,
 )
-from subtask_forge.multitask import build_uniform_task_basis, solve_task_basis
+from subtask_forge.multitask import (
+    DEFAULT_Q_FLOOR,
+    build_uniform_task_basis,
+    solve_task_basis,
+)
 
 # Two interior, two boundary states; columns sum to 1, entry (to, from).
 # Oracle values from a dense solve of (I - diag(g) P_ii^T) z = diag(g) P_bi^T q
@@ -118,22 +127,29 @@ def test_iterative_budget():
         solve_iterative(two_state(), Q, tol=1e-14, max_iter=2)
 
 
-def test_nonuniform_rewards_batch_matches_loop():
+def test_nonuniform_rewards_batch_matches_loop(monkeypatch):
     # regression: the reward factor must scale rows, not columns, also for
-    # matrix right-hand sides
+    # matrix right-hand sides; with 4 entries a block holds 2 of the 7
+    # columns, and the blocks must not show in the result or in the errors
     rng = np.random.default_rng(7)
     L = Lmdp(
         space=StateSpace(2, 2),
         dynamics=PassiveDynamics(P_ii=P_II, P_bi=P_BI),
         r_interior=np.array([-2.0, -0.1]),
     )
-    QB = rng.uniform(0.2, 1.0, size=(2, 3))
-    from subtask_forge.lmdp_core import _FiniteExitSystem
-
-    sys_ = _FiniteExitSystem(L)
-    batch = sys_.solve(QB)
-    for t in range(QB.shape[1]):
-        np.testing.assert_allclose(batch[:, t], sys_.solve(QB[:, t]), rtol=1e-12)
+    sys_ = lmdp_core._FiniteExitSystem(L)
+    for block_entries in (lmdp_core.SOLVE_BLOCK_ENTRIES, 4):
+        monkeypatch.setattr(lmdp_core, "SOLVE_BLOCK_ENTRIES", block_entries)
+        QB = rng.uniform(0.2, 1.0, size=(2, 7))
+        batch = sys_.solve(QB)
+        assert batch.flags.c_contiguous
+        for t in range(QB.shape[1]):
+            np.testing.assert_allclose(batch[:, t], sys_.solve(QB[:, t]), rtol=1e-12)
+        QB[:, 5] = 0.0  # a zero reward gives a zero desirability
+        with pytest.raises(SingularSystemError, match="^task 5: .*non-positive"):
+            sys_.solve(QB)
+        np.testing.assert_allclose(sys_.solve(QB, q_floor=1e-3)[:, 5],
+                                   sys_.solve(np.full(2, 1e-3)), rtol=1e-12)
 
 
 def test_validate_clean():
@@ -157,6 +173,17 @@ def test_validate_collects_violations():
     assert "labels are not unique" in joined
     assert "column 1 sums to 0.7" in joined
     assert "non-finite" in joined
+
+
+def test_nan_dynamics_rejected_in_process_and_in_a_file(tmp_path):
+    d = lmdp_to_json_dict(two_state())
+    d["P_ii"]["triplets"][0][2] = float("nan")
+    assert "P_ii has a NaN entry" in validate_lmdp(lmdp_from_json_dict(d)).violations
+    path = tmp_path / "lmdp.json"
+    path.write_text(json.dumps(d))  # writes the non-standard token NaN
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: got NaN, but JSON "
+                                         "numbers must be finite"):
+        load_lmdp(path)
 
 
 def test_validate_caps_reported_columns():
@@ -269,6 +296,33 @@ def test_permuting_interior_states_permutes_the_basis(case, data):
     Z = solve_task_basis(L, Q)[perm]
     # criterion 1's tolerance
     assert np.max(np.abs(solve_task_basis(permuted, Q) - Z) / Z) <= 1e-9
+
+
+@given(random_lmdps(), st.integers(min_value=1, max_value=12))
+@settings(max_examples=40)
+def test_basis_columns_match_the_iterative_solve(case, block_entries):
+    # criterion 1 for every column of the basis, solved in blocks of one
+    # column up to all of them
+    L, _ = case
+    Q = build_uniform_task_basis(L)
+    with mock.patch.object(lmdp_core, "SOLVE_BLOCK_ENTRIES", block_entries):
+        Z = solve_task_basis(L, Q)
+    for t in range(Q.shape[1]):
+        z = solve_iterative(L, np.maximum(Q[:, t], DEFAULT_Q_FLOOR), tol=1e-14)
+        assert np.max(np.abs(Z[:, t] - z) / z) <= 1e-9
+
+
+@given(random_lmdps(), st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=40)
+def test_solving_a_blend_of_tasks_blends_the_basis(case, seed):
+    # criterion 2: the solve of the blend Q w is Z w for nonnegative w
+    L, _ = case
+    Q = build_uniform_task_basis(L)
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 2.0, L.n_boundary) * (rng.random(L.n_boundary) < 0.7)
+    w[rng.integers(L.n_boundary)] += 1.0  # at least one task is in the blend
+    z = solve_finite_exit(L, np.maximum(Q, DEFAULT_Q_FLOOR) @ w)
+    assert np.max(np.abs(solve_task_basis(L, Q) @ w - z) / z) <= 1e-9
 
 
 @given(random_lmdps(), st.floats(min_value=0.1, max_value=5.0))

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import LAM, R_STEP, TWIN_WEIGHT
 from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
 from subtask_forge.errors import SingularSystemError
 from subtask_forge.lmdp_core import solve_finite_exit
@@ -137,3 +140,20 @@ def test_failed_check_names_first_task():
     L = build_ring(RingSpec(4), r_step=5.0, lam=1.0)
     with pytest.raises(SingularSystemError, match="^task 0: .*non-positive"):
         solve_task_basis(L, build_uniform_task_basis(L))
+
+
+def test_basis_solve_holds_little_beyond_its_result():
+    # rooms 8x8x5: a 1600 x 1600 basis, 20 MB; solving every task at once
+    # held about four arrays of its size at the peak
+    L = build_rooms(RoomsSpec(8, 8, 5), R_STEP, LAM, TWIN_WEIGHT)
+    Q = build_uniform_task_basis(L)
+    from scipy.sparse.linalg import splu  # noqa: F401 -- imported before tracing
+
+    tracemalloc.start()
+    try:
+        Z = solve_task_basis(L, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Z.shape == (1600, 1600) and Z.flags.c_contiguous
+    assert peak <= 1.5 * Z.nbytes, f"peak {peak / Z.nbytes:.2f} x Z.nbytes"
