@@ -11,14 +11,13 @@ name is imported from its module.
 from .domains import RoomsSpec, build_rooms
 from .factorize import NmfOptions, nmf
 from .hierarchy import build_hierarchy
-from .multitask import build_uniform_task_basis, solve_task_basis
+from .multitask import solve_task_basis
 
 __version__ = "0.1.0"
 
 __all__ = [
     "RoomsSpec",
     "build_rooms",
-    "build_uniform_task_basis",
     "solve_task_basis",
     "NmfOptions",
     "nmf",

@@ -40,7 +40,7 @@ from .factorize import (
 )
 from .hierarchy import build_hierarchy, write_hierarchy_files
 from .lmdp_core import load_lmdp, save_lmdp
-from .multitask import DEFAULT_Q_FLOOR, build_uniform_task_basis, solve_task_basis
+from .multitask import DEFAULT_Q_FLOOR, solve_task_basis
 from .render import render_factorization_files
 from . import fileio
 
@@ -197,7 +197,7 @@ def cmd_solve(domain_path, out_path, q_floor):
     run.input_file(domain_path)
     run.parameters["q_floor"] = q_floor
     L = load_lmdp(domain_path)
-    Z = solve_task_basis(L, build_uniform_task_basis(L), q_floor)
+    Z = solve_task_basis(L, q_floor=q_floor)
     fileio.write_matrix_csv(out_path, Z)
     run.emit_beside(out_path)
     click.echo(f"wrote {out_path}: {Z.shape[0]}x{Z.shape[1]} desirability basis")

@@ -20,7 +20,8 @@ and from the cancellation-free terms once it falls below:
   2**-7 (sum(Z) + sum(B));
 - beta = 2 in Gram form, 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>,
   from the products of the W update, above 2**-4 (0.5 ||Z||^2). Above that
-  floor a beta = 2 restart forms no n x N array at all.
+  floor a beta = 2 sweep forms no n x N array; the restart forms one,
+  D @ W, only for its initial scale.
 
 Restarts are independent. A fit of more than one restart on a Z of at least
 ``fileio._FORK_MIN_ENTRIES`` (2**16) entries runs BLAS at one thread, and a
@@ -454,8 +455,10 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
         col_mass = np.maximum(D.sum(axis=0), _TINY)
         D = D / col_mass[None, :]
         W = W * col_mass[:, None]
-        # a read-only view of the mean: no second n x N array at the peak
-        baseline = beta_divergence(Z, np.broadcast_to(Z.mean(), Z.shape), beta)
+        # Z and its mean (a read-only view) are finite and positive, so no
+        # input checks; the terms are one n x N array. At beta 1 or <= 0 an
+        # entry the scale flushed to zero makes the fit non-finite, raised below.
+        baseline = _divergence(Z, np.broadcast_to(Z.mean(), Z.shape), beta)
         normalized = float(trace[-1]) / max(baseline, _TINY)
         if e:  # undo the scale: W times 4**e, divergences times 4**(e * beta)
             W = np.ldexp(W, 2 * e)

@@ -18,12 +18,14 @@ parse and their shapes add up to the header's, the whole file is read
 again in one process, which decides every failure and its message. So
 every file gives the same array, or the same error, either way.
 
-The writer formats rows a block at a time into a temp file that replaces
-the target once complete, so the whole text is never held at once. A
-matrix of at least ``_FORK_MIN_ENTRIES`` entries, written by a process
-that may run on more than one CPU, is formatted on two: a forked child
-formats the second half of the rows while this process formats the first.
-The bytes are the same either way.
+The writer formats one row, or a few narrow rows, per write into a temp
+file that replaces the target once complete, so the whole text is never
+held at once. A matrix with rows but no columns is rejected: its rows
+would be empty lines, which the reader skips. A matrix of at least
+``_FORK_MIN_ENTRIES`` entries, written by a process that may run on more
+than one CPU, is formatted on two: a forked child formats the second half
+of the rows while this process formats the first. The bytes are the same
+either way.
 
 :func:`split_work` holds the one fork protocol that the reader, the writer
 and ``factorize``'s restarts share.
@@ -55,15 +57,19 @@ import numpy as np
 #: splits its parse, and ``factorize`` its NMF restarts, from the same floor.
 _FORK_MIN_ENTRIES = 1 << 16
 
-#: Entries formatted per block of rows: the text held at once is bounded by
-#: about 22 bytes times this.
-_BLOCK_ENTRIES = 1 << 16
+#: Entries formatted per write: one row, or as many whole rows as fit in
+#: this many. A write holds its entries as Python floats, one row's reprs,
+#: and its text three times over (the row strings, their join and its
+#: encoding).
+_WRITE_ENTRIES = 1 << 12
 
 
 def write_matrix_csv(path: str | Path, matrix) -> None:
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"matrix CSV needs a 2-D array, got shape {M.shape}")
+    if M.shape[0] and not M.shape[1]:
+        raise ValueError(f"matrix CSV needs a column per row, got shape {M.shape}")
     path = Path(path)
     with _atomic_open(path) as fh:
         fh.write(f"{M.shape[0]},{M.shape[1]}\n".encode())
@@ -130,7 +136,7 @@ def _child(wfd: int, work):
 
 def _write_rows(fh, M: np.ndarray, start: int, stop: int) -> None:
     """Append rows ``start:stop`` of M to the binary file ``fh``."""
-    step = max(1, _BLOCK_ENTRIES // max(M.shape[1], 1))
+    step = max(1, _WRITE_ENTRIES // max(M.shape[1], 1))
     for i in range(start, stop, step):
         block = M[i:min(i + step, stop)].tolist()
         fh.write("".join(",".join(map(repr, row)) + "\n" for row in block).encode())
@@ -228,7 +234,8 @@ def _read_split(path: Path) -> np.ndarray | None:
     stream of exactly its own byte range (a newline never splits a CRLF pair
     or a UTF-8 character). The halves are accepted only if both have the
     header's column count and their rows add up to the header's row count.
-    Anything else, a failed half or child included, returns None.
+    Anything else, a failed half or child included, returns None. The result
+    is allocated once: this process copies its half in, then the child's.
     """
     with open(path, "rb") as fh:
         line = fh.readline(_HEADER_BYTES)
@@ -239,27 +246,37 @@ def _read_split(path: Path) -> np.ndarray | None:
             rows, cols = _header(text.decode("utf-8"))
         except ValueError:
             return None
-        if rows * cols < _FORK_MIN_ENTRIES:
-            return None
         end = fh.seek(0, os.SEEK_END)
+        # each entry takes a value and a separator, at least 2 bytes: a
+        # header that declares more than the body can hold is not allocated
+        if not _FORK_MIN_ENTRIES <= rows * cols <= (end - len(line) + 1) // 2:
+            return None
         split = _line_start(fh, (len(line) + end) // 2)
     if split is None or split == end:
         return None
+    out = np.empty((rows, cols))
+
+    def first() -> int:
+        mine = _parse_range(path, len(line), split)
+        if mine.shape[1] != cols or len(mine) > rows:
+            raise ValueError("the first half does not fit the header")
+        out[:len(mine)] = mine
+        return len(mine)
+
     try:
-        mine, theirs = split_work(lambda: _parse_range(path, len(line), split),
-                                  lambda: _parse_range(path, split, end), lambda: None)
+        head, theirs = split_work(first, lambda: _parse_range(path, split, end), lambda: None)
     except Exception:  # a failed half, whatever the error: the serial reader decides
         return None
-    if (theirs is None or mine.shape[1] != cols or theirs.shape[1] != cols
-            or mine.shape[0] + theirs.shape[0] != rows):
+    if theirs is None or theirs.shape != (rows - head, cols):
         return None
-    return np.concatenate((mine, theirs))
+    out[head:] = theirs
+    return out
 
 
 def _line_start(fh, pos: int) -> int | None:
     """Offset just past the first newline at or after ``pos``, or None."""
     fh.seek(pos)
-    while chunk := fh.read(_BLOCK_ENTRIES):
+    while chunk := fh.read(io.DEFAULT_BUFFER_SIZE):
         i = chunk.find(b"\n")
         if i >= 0:
             return pos + i + 1

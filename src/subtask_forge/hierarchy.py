@@ -25,7 +25,7 @@ from .factorize import (
     write_factorization_files,
 )
 from .lmdp_core import Lmdp, PassiveDynamics, StateSpace, save_lmdp
-from .multitask import build_uniform_task_basis, solve_task_basis
+from .multitask import solve_task_basis
 from . import fileio
 
 if TYPE_CHECKING:
@@ -225,7 +225,7 @@ def build_hierarchy(L: Lmdp, k_schedule, alpha_schedule, beta: float = 1.0,
     current = L
     for level, (k, alpha) in enumerate(zip(k_schedule, alpha_schedule)):
         try:
-            Z = solve_task_basis(current, build_uniform_task_basis(current))
+            Z = solve_task_basis(current)
             F = nmf(Z, k, beta, opts)
             layer = replace(augment_with_subtasks(current, F, alpha), level=level)
             layers.append(layer)

@@ -226,23 +226,31 @@ class _FiniteExitSystem:
             return self.g[:, None] * entering
         return self.g * entering
 
-    def solve(self, q_b: np.ndarray, q_floor: float = 0.0) -> np.ndarray:
+    def solve(self, q_b: np.ndarray | None, q_floor: float = 0.0) -> np.ndarray:
         """Solve for a boundary-reward vector, or one column per task; validates.
 
         One column per task is solved a block of columns at a time: each
         block is floored at ``q_floor``, solved, checked and written into one
         C-ordered result, so the solve holds ``q_b``, the result and a few
-        arrays of ``SOLVE_BLOCK_ENTRIES`` entries.
+        arrays of ``SOLVE_BLOCK_ENTRIES`` entries. ``q_b`` None is the
+        uniform task basis, the n_boundary identity, whose floored blocks
+        are built here: ``q_floor`` everywhere and 1 on each task's goal.
         """
-        if q_b.ndim == 1:
+        if q_b is not None and q_b.ndim == 1:
             z = self.lu.solve(self.rhs(q_b))
             self.check(z, q_b)
             return z
-        Z = np.empty((self.L.n_interior, q_b.shape[1]))
+        n_tasks = self.L.n_boundary if q_b is None else q_b.shape[1]
+        Z = np.empty((self.L.n_interior, n_tasks))
         width = max(1, SOLVE_BLOCK_ENTRIES // max(len(Z), 1))
-        for first in range(0, q_b.shape[1], width):
-            Q = np.maximum(q_b[:, first:first + width], q_floor)
-            Z[:, first:first + width] = z = self.lu.solve(self.rhs(Q))
+        for first in range(0, n_tasks, width):
+            stop = min(first + width, n_tasks)
+            if q_b is None:
+                Q = np.full((self.L.n_boundary, stop - first), q_floor)
+                np.fill_diagonal(Q[first:stop], 1.0)
+            else:
+                Q = np.maximum(q_b[:, first:stop], q_floor)
+            Z[:, first:stop] = z = self.lu.solve(self.rhs(Q))
             self.check(z, Q, first)
         return Z
 

@@ -36,19 +36,25 @@ def check_task_basis(L: Lmdp, Q) -> np.ndarray:
     return Q
 
 
-def solve_task_basis(L: Lmdp, Q, q_floor: float = DEFAULT_Q_FLOOR) -> np.ndarray:
+def solve_task_basis(L: Lmdp, Q=None, q_floor: float = DEFAULT_Q_FLOOR) -> np.ndarray:
     """Desirability basis Z: column t solves the LMDP with boundary reward Q[:, t].
+
+    Q None (the default) is the uniform task basis of
+    :func:`build_uniform_task_basis`, one goal task per boundary state. It is
+    never formed: each block of its columns is built inside the solve, with
+    the same bits as an explicit identity.
 
     Zero entries of each task column are floored at ``q_floor`` so that all
     desirabilities are strictly positive (finite values in the log domain).
     A failed check names the first failing task, "task t: ...".
 
-    Memory: besides Q and the C-ordered Z it returns, the solve holds the
-    sparse LU factors and a few arrays of one block of columns, each of
-    ``SOLVE_BLOCK_ENTRIES`` = 2^16 entries (0.5 MB; 40 columns at 1600
-    interior states).
+    Memory: besides an explicit Q and the C-ordered Z it returns, the solve
+    holds the sparse LU factors and a few arrays of one block of columns,
+    each of ``SOLVE_BLOCK_ENTRIES`` = 2^16 entries (0.5 MB; 40 columns at
+    1600 interior states).
     """
-    Q = check_task_basis(L, Q)
+    if Q is not None:
+        Q = check_task_basis(L, Q)
     if not 0 < q_floor < 1e-3:
         raise ValueError(f"q_floor must lie in (0, 1e-3), got {q_floor}")
     return _FiniteExitSystem(L).solve(Q, q_floor)

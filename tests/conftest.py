@@ -30,7 +30,7 @@ from subtask_forge.hierarchy import (
     write_hierarchy_files,
 )
 from subtask_forge.lmdp_core import load_lmdp
-from subtask_forge.multitask import build_uniform_task_basis, solve_task_basis
+from subtask_forge.multitask import solve_task_basis
 
 TWIN_WEIGHT = 0.01
 R_STEP = -1.0
@@ -173,10 +173,6 @@ def benchmark_taxi():
     return build_taxi(TaxiSpec(), R_STEP, LAM, TWIN_WEIGHT)
 
 
-def uniform_basis(L) -> np.ndarray:
-    return solve_task_basis(L, build_uniform_task_basis(L))
-
-
 @pytest.fixture(scope="session")
 def rooms_lmdp():
     return benchmark_rooms()
@@ -184,7 +180,7 @@ def rooms_lmdp():
 
 @pytest.fixture(scope="session")
 def rooms_Z(rooms_lmdp):
-    return uniform_basis(rooms_lmdp)
+    return solve_task_basis(rooms_lmdp)
 
 
 @pytest.fixture(scope="session")
@@ -199,4 +195,4 @@ def taxi_lmdp():
 
 @pytest.fixture(scope="session")
 def taxi_Z(taxi_lmdp):
-    return uniform_basis(taxi_lmdp)
+    return solve_task_basis(taxi_lmdp)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHILD_FAILURES, benchmark_rooms, inject, uniform_basis, write_factorization
+from conftest import CHILD_FAILURES, benchmark_rooms, inject, write_factorization
 from subtask_forge import factorize
 from subtask_forge.errors import FactorRankError, NonFiniteResultError
 from subtask_forge.factorize import (
@@ -20,6 +20,7 @@ from subtask_forge.factorize import (
     select_k,
     write_k_curve,
 )
+from subtask_forge.multitask import solve_task_basis
 
 
 def random_positive(shape, seed=0, lo=0.2, hi=2.0):
@@ -349,7 +350,7 @@ def test_nmf_rejects_bad_input():
 def test_nmf_prescales_extreme_basis_exactly(beta, p):
     """Z * 2**p, with p even, factorizes as Z: D bit-identical, W times 2**p,
     the divergence times 2**(p * beta), the normalized divergence equal."""
-    Z = uniform_basis(benchmark_rooms(2, 2, 3))
+    Z = solve_task_basis(benchmark_rooms(2, 2, 3))
     opts = NmfOptions(seed=1, restarts=2, max_iter=40, tol=0.0)
     F0 = nmf(Z, 4, beta, opts)
     if np.log2(F0.divergence) + p * beta >= 1024:  # the divergence leaves the range
@@ -437,10 +438,9 @@ def test_refit_beats_appending_a_column():
     k columns plus one more, and the refit fits at least as well as the
     best rank-one addition to the frozen k solution."""
     from subtask_forge.domains import RoomsSpec, build_rooms
-    from subtask_forge.multitask import build_uniform_task_basis, solve_task_basis
 
     L = build_rooms(RoomsSpec(2, 2, 3), r_step=-1.0, lam=20.0, twin_weight=0.01)
-    Z = solve_task_basis(L, build_uniform_task_basis(L))
+    Z = solve_task_basis(L)
     F4 = nmf(Z, 4, 1.0, NmfOptions(seed=0, restarts=5))
     F5 = nmf(Z, 5, 1.0, NmfOptions(seed=0, restarts=5))
 
@@ -625,7 +625,7 @@ def test_select_k_on_exact_rank3_blocks():
 
 def test_select_k_on_rooms_2x2():
     # four rooms in the lazy-twin regime: one subtask per room
-    Z = uniform_basis(benchmark_rooms(2, 2))
+    Z = solve_task_basis(benchmark_rooms(2, 2))
     sel = select_k(Z, 1.0, 9, NmfOptions(seed=0, restarts=5))
     assert sel.k_star == 4
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,15 @@ def test_matrix_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(3)
     M = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-12, 12, (7, 4))
     path = tmp_path / "m.csv"
+    for shape in ((0, 3), (0, 0), (1, 1)):
+        write_matrix_csv(path, np.ones(shape))
+        assert read_matrix_csv(path).shape == shape
     write_matrix_csv(path, M)
     assert np.array_equal(read_matrix_csv(path), M)
+    # rows without columns would be empty lines, which the reader skips
+    with pytest.raises(ValueError, match=r"a column per row, got shape \(3, 0\)"):
+        write_matrix_csv(tmp_path / "empty_rows.csv", np.ones((3, 0)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.csv"]
 
 
 def test_matrix_csv_format(tmp_path):
@@ -132,6 +140,37 @@ def test_failed_parent_half_leaves_no_litter_and_no_child(tmp_path, two_cpus, mo
     assert len(two_cpus) == 1
     assert path.read_text() == "old"
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
+
+def test_writer_holds_the_text_of_a_few_rows(tmp_path, monkeypatch):
+    # 1600 columns, as a 1600 x 1600 basis: the peak is one write's text,
+    # so 64 rows show it; whole 2^16-entry blocks held 4.5 MB
+    monkeypatch.setattr(fileio.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    M = np.random.default_rng(1).uniform(0.0, 1.0, (64, 1600))
+    tracemalloc.start()
+    try:
+        write_matrix_csv(tmp_path / "m.csv", M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "m.csv").read_bytes() == reference_csv(M)
+    assert peak < 1 << 20, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_split_reader_fills_one_array(tmp_path, two_cpus):
+    M = np.random.default_rng(2).uniform(0.0, 1.0, (512, 512))
+    path = tmp_path / "m.csv"
+    path.write_bytes(reference_csv(M))
+    tracemalloc.start()
+    try:
+        back = read_matrix_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(two_cpus) == 1
+    assert np.array_equal(back, M) and back.flags.c_contiguous and back.flags.owndata
+    # the halves and their concatenation held twice the result
+    assert peak <= 1.75 * back.nbytes, f"peak {peak / back.nbytes:.2f} x the result"
 
 
 def test_reader_returns_owned_c_contiguous_float64(tmp_path):
@@ -265,6 +304,18 @@ def test_split_reader_header_one_row_off_with_blank_lines_in_both_halves(
     assert expected == f"{path}: header declares {rows + off_by} rows, file has {rows}"
     assert split_read(path) == expected
     assert len(two_cpus) == 1
+
+
+def test_split_reader_allocates_no_more_than_the_body_can_hold(tmp_path, two_cpus,
+                                                               monkeypatch):
+    # a 10^12-entry header over a small body: at 2 bytes an entry at least,
+    # the body cannot hold it, so one process reads it and decides
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1000000,1000000\n" + padded("0,2\n").partition(b"\n")[2])
+    expected = one_cpu_read(monkeypatch, path)
+    assert expected == f"{path}: header declares 1000000 rows, file has {PAD_ROWS}"
+    assert split_read(path) == expected
+    assert two_cpus == []
 
 
 def _parent_half_fails(real):

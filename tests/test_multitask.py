@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import LAM, R_STEP, TWIN_WEIGHT
+from conftest import LAM, R_STEP, TWIN_WEIGHT, benchmark_taxi
+from subtask_forge import lmdp_core
 from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
 from subtask_forge.errors import SingularSystemError
 from subtask_forge.lmdp_core import solve_finite_exit
@@ -19,6 +20,12 @@ from subtask_forge.multitask import (
 @pytest.fixture(scope="module")
 def small_rooms():
     return build_rooms(RoomsSpec(2, 2, 3), twin_weight=0.05, lam=5.0)
+
+
+@pytest.fixture(scope="module")
+def large_rooms():
+    # rooms 8x8x5: a 1600 x 1600 basis, 20 MB
+    return build_rooms(RoomsSpec(8, 8, 5), R_STEP, LAM, TWIN_WEIGHT)
 
 
 def test_uniform_basis_is_identity(small_rooms):
@@ -63,12 +70,28 @@ def test_q_floor_is_applied(small_rooms):
     np.testing.assert_allclose(b[:, 0], solve_finite_exit(L, q), rtol=1e-12)
 
 
+@pytest.mark.parametrize("block_entries", [lmdp_core.SOLVE_BLOCK_ENTRIES, 4])
+@pytest.mark.parametrize("domain", ["rooms", "taxi", "ring"])
+def test_uniform_basis_solved_without_q_matches_the_identity(
+        small_rooms, monkeypatch, domain, block_entries):
+    L = {"rooms": small_rooms, "taxi": benchmark_taxi(),
+         "ring": build_ring(RingSpec(16), lam=2.0)}[domain]
+    monkeypatch.setattr(lmdp_core, "SOLVE_BLOCK_ENTRIES", block_entries)
+    Z = solve_task_basis(L)
+    assert Z.flags.c_contiguous
+    np.testing.assert_array_equal(Z, solve_task_basis(L, build_uniform_task_basis(L)))
+    for q_floor in (1e-6, 1e-300):
+        np.testing.assert_array_equal(
+            solve_task_basis(L, q_floor=q_floor),
+            solve_task_basis(L, build_uniform_task_basis(L), q_floor))
+
+
 def test_q_floor_range():
     L = build_ring(RingSpec(4))
-    Q = build_uniform_task_basis(L)
-    for bad in (0.0, -1e-9, 1e-3, 0.5):
-        with pytest.raises(ValueError, match="q_floor"):
-            solve_task_basis(L, Q, q_floor=bad)
+    for Q in (build_uniform_task_basis(L), None):
+        for bad in (0.0, -1e-9, 1e-3, 0.5):
+            with pytest.raises(ValueError, match="q_floor"):
+                solve_task_basis(L, Q, q_floor=bad)
 
 
 def test_check_task_basis_errors(small_rooms):
@@ -140,12 +163,13 @@ def test_failed_check_names_first_task():
     L = build_ring(RingSpec(4), r_step=5.0, lam=1.0)
     with pytest.raises(SingularSystemError, match="^task 0: .*non-positive"):
         solve_task_basis(L, build_uniform_task_basis(L))
+    with pytest.raises(SingularSystemError, match="^task 0: .*non-positive"):
+        solve_task_basis(L)
 
 
-def test_basis_solve_holds_little_beyond_its_result():
-    # rooms 8x8x5: a 1600 x 1600 basis, 20 MB; solving every task at once
-    # held about four arrays of its size at the peak
-    L = build_rooms(RoomsSpec(8, 8, 5), R_STEP, LAM, TWIN_WEIGHT)
+def test_basis_solve_holds_little_beyond_its_result(large_rooms):
+    # solving every task at once held about four arrays of Z's size at the peak
+    L = large_rooms
     Q = build_uniform_task_basis(L)
     from scipy.sparse.linalg import splu  # noqa: F401 -- imported before tracing
 
@@ -157,3 +181,17 @@ def test_basis_solve_holds_little_beyond_its_result():
         tracemalloc.stop()
     assert Z.shape == (1600, 1600) and Z.flags.c_contiguous
     assert peak <= 1.5 * Z.nbytes, f"peak {peak / Z.nbytes:.2f} x Z.nbytes"
+
+
+def test_uniform_basis_solve_holds_little_beyond_its_result(large_rooms):
+    # traced whole: a dense identity as Q is one more array of Z's size
+    from scipy.sparse.linalg import splu  # noqa: F401 -- imported before tracing
+
+    tracemalloc.start()
+    try:
+        Z = solve_task_basis(large_rooms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Z.shape == (1600, 1600) and Z.flags.c_contiguous
+    assert peak <= 1.25 * Z.nbytes, f"peak {peak / Z.nbytes:.2f} x Z.nbytes"

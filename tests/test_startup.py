@@ -112,3 +112,16 @@ print(json.dumps({
     assert out["w_matches"]
     assert out["z_matches"]
     assert out["self_distance"] < 1e-12
+
+
+def test_perfbench_finds_every_name_it_uses():
+    # the benchmark wraps these attributes and imports these names; a rename
+    # in the package would break only a benchmark run, so check them here
+    out = run_cold(f"""
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import microbench, traced_cli
+print(json.dumps({{"missing": [f"{{owner.__name__}}.{{attr}}"
+                              for owner, attr, _ in traced_cli.TARGETS
+                              if not hasattr(owner, attr)]}}))
+""")
+    assert out == {"missing": []}
