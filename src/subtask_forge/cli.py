@@ -191,14 +191,17 @@ def cmd_solve(domain_path, out_path, q_floor):
     """Solve DOMAIN_PATH (LMDP JSON from 'build') for the uniform task basis.
 
     Writes the desirability basis Z as a matrix CSV: one row per interior
-    state, one column per boundary state.
+    state, one column per boundary state. Z is never held in memory: each
+    solved block goes to a spill file beside OUT_PATH, which the CSV writer
+    reads back by rows.
     """
     run = _Run("solve")
     run.input_file(domain_path)
     run.parameters["q_floor"] = q_floor
     L = load_lmdp(domain_path)
-    Z = solve_task_basis(L, q_floor=q_floor)
-    fileio.write_matrix_csv(out_path, Z)
+    with fileio.Spill((L.n_interior, L.n_boundary), os.path.dirname(out_path) or ".") as spill:
+        Z = solve_task_basis(L, q_floor=q_floor, out=spill)
+        fileio.write_matrix_csv(out_path, Z)
     run.emit_beside(out_path)
     click.echo(f"wrote {out_path}: {Z.shape[0]}x{Z.shape[1]} desirability basis")
 

@@ -20,8 +20,9 @@ and from the cancellation-free terms once it falls below:
   2**-7 (sum(Z) + sum(B));
 - beta = 2 in Gram form, 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>,
   from the products of the W update, above 2**-4 (0.5 ||Z||^2). Above that
-  floor a beta = 2 sweep forms no n x N array; the restart forms one,
-  D @ W, only for its initial scale.
+  floor a beta = 2 fit forms no n x N array at all: a restart's initial
+  scale takes mean(D @ W) from the factors' sums, and the baseline
+  divergence is summed over row blocks of Z.
 
 Restarts are independent. A fit of more than one restart on a Z of at least
 ``fileio._FORK_MIN_ENTRIES`` (2**16) entries runs BLAS at one thread, and a
@@ -151,13 +152,22 @@ def _update_once(Z, D, W, B, beta, gamma, scratch, quotient):
         np.divide(Z, np.matmul(D, W, out=B), out=Q)
         W *= (D.T @ Q) / np.maximum(D.sum(axis=0)[:, None], _TINY)
     else:
-        num = (B ** (beta - 2.0) * Z) @ W.T
+        num = (_power(B, beta - 2.0) * Z) @ W.T
         den = np.maximum(B ** (beta - 1.0) @ W.T, _TINY)
         D *= (num / den) ** gamma if gamma != 1.0 else num / den
         np.matmul(D, W, out=B)
-        num = D.T @ (B ** (beta - 2.0) * Z)
+        num = D.T @ (_power(B, beta - 2.0) * Z)
         den = np.maximum(D.T @ B ** (beta - 1.0), _TINY)
         W *= (num / den) ** gamma if gamma != 1.0 else num / den
+
+
+def _power(B, p: float):
+    """B ** p, at p = -2 (beta 0) as 1 / (B * B): two correctly rounded steps,
+    which commute with a power-of-4 scale of B, as pow() there does not."""
+    if p != -2.0:
+        return B ** p
+    t = np.square(B)
+    return np.reciprocal(t, out=t)
 
 
 def _frobenius_sweep(Z, D, W, WWt):
@@ -303,7 +313,8 @@ def _run_restart(Z, k, beta, opts, restart):
     n, n_tasks = Z.shape
     D = rng.uniform(0.1, 1.1, size=(n, k))
     W = rng.uniform(0.1, 1.1, size=(k, n_tasks))
-    scale = np.sqrt(Z.mean() / (D @ W).mean())
+    # mean(D @ W) = (D 1).T (W 1) / (n N), with no n x N product
+    scale = np.sqrt(Z.mean() / (float(D.sum(axis=0) @ W.sum(axis=1)) / Z.size))
     D *= scale
     W *= scale
 
@@ -320,11 +331,29 @@ def _run_restart(Z, k, beta, opts, restart):
     return D, W, np.array(trace), converged
 
 
+#: Entries per row block of the baseline divergence: its terms are arrays of
+#: one block, never of Z's size.
+_BASELINE_ENTRIES = 1 << 16
+
+
+def _baseline(Z, beta: float) -> float:
+    """d_beta(Z || mean(Z)), summed over row blocks of ``_BASELINE_ENTRIES``.
+
+    Z and its mean (a read-only view) are finite and positive, so no input
+    checks. At beta 1 or <= 0 an entry the scale flushed to zero makes the
+    value non-finite, which nmf raises.
+    """
+    mean, rows = Z.mean(), max(1, _BASELINE_ENTRIES // Z.shape[1])
+    blocks = (Z[i:i + rows] for i in range(0, len(Z), rows))
+    return sum(_divergence(A, np.broadcast_to(mean, A.shape), beta) for A in blocks)
+
+
 def _check_Z(Z) -> np.ndarray:
     Z = np.ascontiguousarray(Z, dtype=float)
     if Z.ndim != 2 or min(Z.shape) < 1:
         raise ValueError(f"Z must be a nonempty 2-D matrix, got shape {Z.shape}")
-    if not np.all(np.isfinite(Z)) or np.any(Z <= 0):
+    # reductions, not n x N masks; a NaN fails the first comparison
+    if not (Z.min() > 0 and Z.max() < np.inf):
         raise ValueError("Z entries must be finite and strictly positive")
     return Z
 
@@ -430,9 +459,12 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
 
     A Z whose largest entry lies outside 2**+-64 is factorized as Z / 4**e
     with that entry near 1; W is multiplied and the divergences are divided
-    back by the exact powers of two. (At beta 0, 1 and 2 the sweeps are
-    equivariant under such a scale: D comes out bit-identical.) A fit that
-    is still not finite raises :class:`NonFiniteResultError`.
+    back by the exact powers of two. At beta 0, 1 and 2 the whole fit is
+    equivariant under any such scale: D comes out bit-identical, W and the
+    divergence scaled by exact powers of two. Other betas are left out of
+    that claim: at beta 1.5, ``B ** (beta - 2)`` does not scale exactly, and
+    D moved by up to 1e-15 relative. A fit that is still not finite raises
+    :class:`NonFiniteResultError`.
     """
     opts = opts or NmfOptions()
     Z = _check_Z(Z)
@@ -455,10 +487,7 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
         col_mass = np.maximum(D.sum(axis=0), _TINY)
         D = D / col_mass[None, :]
         W = W * col_mass[:, None]
-        # Z and its mean (a read-only view) are finite and positive, so no
-        # input checks; the terms are one n x N array. At beta 1 or <= 0 an
-        # entry the scale flushed to zero makes the fit non-finite, raised below.
-        baseline = _divergence(Z, np.broadcast_to(Z.mean(), Z.shape), beta)
+        baseline = _baseline(Z, beta)
         normalized = float(trace[-1]) / max(baseline, _TINY)
         if e:  # undo the scale: W times 4**e, divergences times 4**(e * beta)
             W = np.ldexp(W, 2 * e)

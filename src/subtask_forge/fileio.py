@@ -18,14 +18,17 @@ parse and their shapes add up to the header's, the whole file is read
 again in one process, which decides every failure and its message. So
 every file gives the same array, or the same error, either way.
 
-The writer formats one row, or a few narrow rows, per write into a temp
-file that replaces the target once complete, so the whole text is never
-held at once. A matrix with rows but no columns is rejected: its rows
-would be empty lines, which the reader skips. A matrix of at least
-``_FORK_MIN_ENTRIES`` entries, written by a process that may run on more
-than one CPU, is formatted on two: a forked child formats the second half
-of the rows while this process formats the first. The bytes are the same
-either way.
+The writer takes rows from an array or from a :class:`Spill`, a matrix
+kept in an unlinked temp file, about ``_READ_ENTRIES`` entries at a time.
+It formats one row, or a few narrow rows, per write into a temp file that
+replaces the target once complete, so neither the whole text nor, from a
+spill, the whole matrix is ever held at once. A matrix with rows but no
+columns is rejected: its rows would be empty lines, which the reader
+skips. A matrix of at least ``_FORK_MIN_ENTRIES`` entries, written by a
+process that may run on more than one CPU, is formatted on two: a forked
+child formats the second half of the rows while this process formats the
+first; a spill's child reads its rows from the same descriptor. The bytes
+are the same either way.
 
 :func:`split_work` holds the one fork protocol that the reader, the writer
 and ``factorize``'s restarts share.
@@ -63,20 +66,79 @@ _FORK_MIN_ENTRIES = 1 << 16
 #: encoding).
 _WRITE_ENTRIES = 1 << 12
 
+#: Entries the writer takes from its matrix at a time: whole rows, a
+#: multiple of one write's, about this many. From a spill that is one
+#: ``os.preadv`` per stored block of columns, into about 0.5 MB.
+_READ_ENTRIES = 1 << 16
+
+
+class Spill:
+    """A float matrix of ``shape`` kept in an unlinked temp file in ``directory``.
+
+    It is stored a block of whole columns at a time, first to last, as
+    ``spill[:, first:stop] = block``: each block is written as it comes, C
+    ordered, at 8 n ``first`` bytes. It is read back by row ranges,
+    ``spill[start:stop]``, a C-ordered array taken with one ``os.preadv`` per
+    stored block. Reads never move a shared offset, so a forked child may
+    read rows too. The file has no name, so nothing is left behind however
+    the process ends; leaving the ``with`` block frees it.
+    """
+
+    def __init__(self, shape: tuple[int, int], directory: str | Path):
+        self.shape = tuple(shape)
+        Path(directory).mkdir(parents=True, exist_ok=True)
+        self._file = tempfile.TemporaryFile(dir=directory)
+        self._stops = [0]  # column bounds of the stored blocks
+
+    def __setitem__(self, key, block) -> None:
+        rows, cols = key
+        first, stop, step = cols.indices(self.shape[1])
+        if rows != slice(None) or step != 1 or first != self._stops[-1]:
+            raise ValueError("a spill stores blocks of whole columns, first to last")
+        block = np.ascontiguousarray(block, dtype=float)
+        if block.shape != (self.shape[0], stop - first):
+            raise ValueError(f"block has shape {block.shape}, expected "
+                             f"{(self.shape[0], stop - first)}")
+        if os.pwrite(self._file.fileno(), block, 8 * block.shape[0] * first) != block.nbytes:
+            raise OSError("short write to the spill file")
+        self._stops.append(stop)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        n, cols = self.shape
+        start, stop, step = rows.indices(n)
+        if step != 1 or self._stops[-1] != cols:
+            raise ValueError("a spill reads ranges of rows once every column is stored")
+        out = np.empty((max(stop - start, 0), cols))
+        for first, last in zip(self._stops, self._stops[1:]):
+            part = np.empty((len(out), last - first))
+            if os.preadv(self._file.fileno(), [part], 8 * (n * first + start * part.shape[1])) \
+                    != part.nbytes:
+                raise OSError("the spill file is shorter than its blocks")
+            out[:, first:last] = part
+        return out
+
+    def __enter__(self) -> Spill:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
 
 def write_matrix_csv(path: str | Path, matrix) -> None:
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2:
+    """Write an array, or a complete :class:`Spill`, as a matrix CSV."""
+    M = matrix if isinstance(matrix, Spill) else np.asarray(matrix, dtype=float)
+    if len(M.shape) != 2:
         raise ValueError(f"matrix CSV needs a 2-D array, got shape {M.shape}")
-    if M.shape[0] and not M.shape[1]:
+    rows, cols = M.shape
+    if rows and not cols:
         raise ValueError(f"matrix CSV needs a column per row, got shape {M.shape}")
     path = Path(path)
     with _atomic_open(path) as fh:
-        fh.write(f"{M.shape[0]},{M.shape[1]}\n".encode())
-        if M.size >= _FORK_MIN_ENTRIES and _spare_cpu():
+        fh.write(f"{rows},{cols}\n".encode())
+        if rows * cols >= _FORK_MIN_ENTRIES and _spare_cpu():
             _write_rows_forked(fh, M, path.parent)
         else:
-            _write_rows(fh, M, 0, M.shape[0])
+            _write_rows(fh, M, 0, rows)
 
 
 def _spare_cpu() -> bool:
@@ -134,15 +196,19 @@ def _child(wfd: int, work):
         os._exit(code)
 
 
-def _write_rows(fh, M: np.ndarray, start: int, stop: int) -> None:
-    """Append rows ``start:stop`` of M to the binary file ``fh``."""
-    step = max(1, _WRITE_ENTRIES // max(M.shape[1], 1))
-    for i in range(start, stop, step):
-        block = M[i:min(i + step, stop)].tolist()
-        fh.write("".join(",".join(map(repr, row)) + "\n" for row in block).encode())
+def _write_rows(fh, M, start: int, stop: int) -> None:
+    """Append rows ``start:stop`` of M, an array or a spill, to the binary file ``fh``."""
+    cols = max(M.shape[1], 1)
+    step = max(1, _WRITE_ENTRIES // cols)
+    take = step * max(1, _READ_ENTRIES // (step * cols))
+    for i in range(start, stop, take):
+        rows = M[i:min(i + take, stop)]
+        for j in range(0, len(rows), step):
+            block = rows[j:j + step].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block).encode())
 
 
-def _write_rows_forked(fh, M: np.ndarray, directory: Path) -> None:
+def _write_rows_forked(fh, M, directory: Path) -> None:
     """Append every row of M to ``fh``, the second half formatted by a child.
 
     Through :func:`split_work`: the child streams its rows into a sibling
@@ -166,7 +232,7 @@ def _write_rows_forked(fh, M: np.ndarray, directory: Path) -> None:
         os.unlink(part)
 
 
-def _write_part(fd: int, M: np.ndarray, start: int, stop: int) -> bool:
+def _write_part(fd: int, M, start: int, stop: int) -> bool:
     """Write rows ``start:stop`` of M to ``fd``. Only Python formatting and
     file writes run here, no BLAS."""
     with open(fd, "wb", closefd=False) as out:

@@ -226,23 +226,28 @@ class _FiniteExitSystem:
             return self.g[:, None] * entering
         return self.g * entering
 
-    def solve(self, q_b: np.ndarray | None, q_floor: float = 0.0) -> np.ndarray:
+    def solve(self, q_b: np.ndarray | None, q_floor: float = 0.0, out=None):
         """Solve for a boundary-reward vector, or one column per task; validates.
 
         One column per task is solved a block of columns at a time: each
-        block is floored at ``q_floor``, solved, checked and written into one
-        C-ordered result, so the solve holds ``q_b``, the result and a few
-        arrays of ``SOLVE_BLOCK_ENTRIES`` entries. ``q_b`` None is the
-        uniform task basis, the n_boundary identity, whose floored blocks
-        are built here: ``q_floor`` everywhere and 1 on each task's goal.
+        block is floored at ``q_floor``, solved, checked and stored as
+        ``out[:, first:stop]``, first to last, so the solve holds ``q_b``, the
+        LU factors and a few arrays of ``SOLVE_BLOCK_ENTRIES`` entries besides
+        ``out``. ``out`` None is a fresh C-ordered array; ``out`` is returned.
+        ``q_b`` None is the uniform task basis, the n_boundary identity, whose
+        floored blocks are built here: ``q_floor`` everywhere and 1 on each
+        task's goal.
         """
         if q_b is not None and q_b.ndim == 1:
             z = self.lu.solve(self.rhs(q_b))
             self.check(z, q_b)
             return z
-        n_tasks = self.L.n_boundary if q_b is None else q_b.shape[1]
-        Z = np.empty((self.L.n_interior, n_tasks))
-        width = max(1, SOLVE_BLOCK_ENTRIES // max(len(Z), 1))
+        n, n_tasks = self.L.n_interior, self.L.n_boundary if q_b is None else q_b.shape[1]
+        if out is None:
+            out = np.empty((n, n_tasks))
+        elif tuple(out.shape) != (n, n_tasks):
+            raise ValueError(f"out has shape {tuple(out.shape)}, expected {(n, n_tasks)}")
+        width = max(1, SOLVE_BLOCK_ENTRIES // max(n, 1))
         for first in range(0, n_tasks, width):
             stop = min(first + width, n_tasks)
             if q_b is None:
@@ -250,9 +255,10 @@ class _FiniteExitSystem:
                 np.fill_diagonal(Q[first:stop], 1.0)
             else:
                 Q = np.maximum(q_b[:, first:stop], q_floor)
-            Z[:, first:stop] = z = self.lu.solve(self.rhs(Q))
+            z = self.lu.solve(self.rhs(Q))
             self.check(z, Q, first)
-        return Z
+            out[:, first:stop] = z
+        return out
 
     def check(self, z: np.ndarray, q_b: np.ndarray, first: int = 0) -> None:
         """Raise unless z is positive and solves the fixed point for q_b.

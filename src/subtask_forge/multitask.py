@@ -36,7 +36,7 @@ def check_task_basis(L: Lmdp, Q) -> np.ndarray:
     return Q
 
 
-def solve_task_basis(L: Lmdp, Q=None, q_floor: float = DEFAULT_Q_FLOOR) -> np.ndarray:
+def solve_task_basis(L: Lmdp, Q=None, q_floor: float = DEFAULT_Q_FLOOR, out=None):
     """Desirability basis Z: column t solves the LMDP with boundary reward Q[:, t].
 
     Q None (the default) is the uniform task basis of
@@ -48,16 +48,21 @@ def solve_task_basis(L: Lmdp, Q=None, q_floor: float = DEFAULT_Q_FLOOR) -> np.nd
     desirabilities are strictly positive (finite values in the log domain).
     A failed check names the first failing task, "task t: ...".
 
-    Memory: besides an explicit Q and the C-ordered Z it returns, the solve
-    holds the sparse LU factors and a few arrays of one block of columns,
-    each of ``SOLVE_BLOCK_ENTRIES`` = 2^16 entries (0.5 MB; 40 columns at
-    1600 interior states).
+    ``out`` None returns Z as a fresh C-ordered array. Otherwise each
+    checked block of columns is stored as ``out[:, first:stop] = block``,
+    first to last, and ``out`` is returned: a :class:`fileio.Spill` keeps Z
+    in a file instead of in memory.
+
+    Memory: besides an explicit Q and ``out``, the solve holds the sparse LU
+    factors and a few arrays of one block of columns, each of
+    ``SOLVE_BLOCK_ENTRIES`` = 2^16 entries (0.5 MB; 40 columns at 1600
+    interior states). With a spill as ``out``, nothing of Z's size is held.
     """
     if Q is not None:
         Q = check_task_basis(L, Q)
     if not 0 < q_floor < 1e-3:
         raise ValueError(f"q_floor must lie in (0, 1e-3), got {q_floor}")
-    return _FiniteExitSystem(L).solve(Q, q_floor)
+    return _FiniteExitSystem(L).solve(Q, q_floor, out)
 
 
 def compose(Q, Z, q):

@@ -8,14 +8,18 @@ import hashlib
 import json
 import re
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
+from conftest import benchmark_rooms, benchmark_taxi
+from subtask_forge import fileio, lmdp_core
 from subtask_forge.cli import main
 from subtask_forge.domains import RingSpec, build_ring, domain_spec, parse_domain_config
-from subtask_forge.fileio import read_json
-from subtask_forge.lmdp_core import lmdp_to_json_dict
+from subtask_forge.fileio import read_json, write_matrix_csv
+from subtask_forge.lmdp_core import lmdp_to_json_dict, load_lmdp, save_lmdp
+from subtask_forge.multitask import solve_task_basis
 
 ROOMS_SPEC = {
     "type": "rooms",
@@ -423,3 +427,64 @@ def test_missing_input_is_usage_error(tmp_path):
 def test_version_flag():
     result = run_ok("--version")
     assert "subtask-forge" in result.stdout
+
+
+SOLVE_DOMAINS = {
+    "rooms": lambda: benchmark_rooms(2, 2, 3),
+    "taxi": benchmark_taxi,
+    "ring": lambda: build_ring(RingSpec(16), lam=2.0),
+}
+
+
+@pytest.mark.parametrize("writer", ["serial", "forked"])
+@pytest.mark.parametrize("block_entries", [lmdp_core.SOLVE_BLOCK_ENTRIES, 4])
+@pytest.mark.parametrize("domain", sorted(SOLVE_DOMAINS))
+def test_solve_through_the_spill_writes_the_in_memory_bytes(
+        tmp_path, monkeypatch, request, domain, block_entries, writer):
+    save_lmdp(tmp_path / "domain.json", SOLVE_DOMAINS[domain]())
+    monkeypatch.setattr(lmdp_core, "SOLVE_BLOCK_ENTRIES", block_entries)
+    if writer == "forked":
+        forks = request.getfixturevalue("two_cpus")
+        monkeypatch.setattr(fileio, "_FORK_MIN_ENTRIES", 1)
+    else:
+        monkeypatch.setattr(fileio.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    out = tmp_path / "out"
+    run_ok("solve", tmp_path / "domain.json", out / "Z.csv")
+    write_matrix_csv(tmp_path / "ref.csv", solve_task_basis(load_lmdp(tmp_path / "domain.json")))
+    assert (out / "Z.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["Z.csv", "Z.csv.manifest.json"]
+    if writer == "forked":
+        assert len(forks) == 2  # the solve's writer, then the reference's
+
+
+@pytest.mark.parametrize("writer", ["serial", "forked"])
+def test_failing_task_leaves_no_output_and_no_spill(tmp_path, monkeypatch, request, writer):
+    # a positive step reward makes the weighted dynamics non-contractive
+    save_lmdp(tmp_path / "domain.json", build_ring(RingSpec(4), r_step=5.0, lam=1.0))
+    if writer == "forked":
+        request.getfixturevalue("two_cpus")
+        monkeypatch.setattr(fileio, "_FORK_MIN_ENTRIES", 1)
+    out = tmp_path / "out"
+    out.mkdir()
+    result = runner.invoke(main, ["solve", str(tmp_path / "domain.json"), str(out / "Z.csv")])
+    assert result.exit_code == 3
+    assert re.search(r"task \d+: .*non-positive", result.stderr)
+    assert list(out.iterdir()) == []
+
+
+def test_solve_command_holds_no_basis(tmp_path, monkeypatch):
+    # rooms 8x8x5, the large-io domain: a 1600 x 1600 basis, 20 MB; the
+    # solve held it whole so that the writer could take its rows
+    save_lmdp(tmp_path / "domain.json", benchmark_rooms(8, 8, 5))
+    monkeypatch.setattr(fileio.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    from scipy.sparse.linalg import splu  # noqa: F401 -- imported before tracing
+
+    z_bytes = 1600 * 1600 * 8
+    tracemalloc.start()
+    try:
+        run_ok("solve", tmp_path / "domain.json", tmp_path / "Z.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fileio.read_matrix_csv(tmp_path / "Z.csv").shape == (1600, 1600)
+    assert peak <= 0.25 * z_bytes, f"peak {peak / z_bytes:.2f} x Z.nbytes"

@@ -1,5 +1,6 @@
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def _restart_with_temporaries(Z, k, beta, opts, restart):
     rng = np.random.default_rng([opts.seed, k, restart])
     D = rng.uniform(0.1, 1.1, size=(Z.shape[0], k))
     W = rng.uniform(0.1, 1.1, size=(k, Z.shape[1]))
-    scale = np.sqrt(Z.mean() / (D @ W).mean())
+    scale = np.sqrt(Z.mean() / (float(D.sum(axis=0) @ W.sum(axis=1)) / Z.size))
     D *= scale
     W *= scale
 
@@ -343,6 +344,50 @@ def test_nmf_rejects_bad_input():
     for tol in (-1e-9, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol must be a finite number"):
             NmfOptions(tol=tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e-300])
+def test_nmf_rejects_a_non_finite_or_non_positive_entry(bad):
+    Z = random_positive((4, 6))
+    Z[2, 3] = bad
+    with pytest.raises(ValueError, match="^Z entries must be finite and strictly positive$"):
+        nmf(Z, 2, 1.0)
+    with pytest.raises(ValueError, match="^Z entries must be finite and strictly positive$"):
+        select_k(Z, 1.0, 3)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8), m=st.integers(2, 8),
+       e=st.sampled_from([*range(-3, 4), factorize._UNSCALED_EXP2 + 1]), data=st.data())
+@settings(max_examples=100)
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_scaling_Z_by_a_power_of_4_scales_the_fit_exactly(beta, seed, n, m, e, data):
+    """Z * 4**e factorizes as Z: D bit-identical, W times 4**e, the divergence
+    times 4**(e * beta). Small e runs the fit on the scaled Z itself, so each
+    step, the initial scale included, must commute with the scale; the last e
+    is prescaled away. beta 1.5 is left out: its sweeps do not commute."""
+    k = data.draw(st.integers(1, min(n, m)))
+    Z = np.exp(np.random.default_rng(seed).normal(0.0, 1.0, (n, m)))
+    opts = NmfOptions(seed=seed % 1000, restarts=2, max_iter=30, tol=0.0)
+    F0 = nmf(Z, k, beta, opts)
+    F = nmf(np.ldexp(Z, 2 * e), k, beta, opts)
+    assert np.array_equal(F.D, F0.D)
+    assert np.array_equal(F.W, np.ldexp(F0.W, 2 * e))
+    assert np.array_equal(F.divergence_trace, np.ldexp(F0.divergence_trace, int(2 * e * beta)))
+    assert F.normalized_divergence == F0.normalized_divergence
+
+
+def test_frobenius_fit_forms_no_basis_sized_array():
+    # rooms 8x8x5, the large-io basis: 1600 x 1600, 20 MB; the initial
+    # scale's D @ W and the baseline's Z - mean were each an array of Z's size
+    Z = solve_task_basis(benchmark_rooms(8, 8, 5))
+    tracemalloc.start()
+    try:
+        F = nmf(Z, 64, 2.0, NmfOptions(seed=0, restarts=1, max_iter=5, tol=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.iterations == 5
+    assert peak <= 0.35 * Z.nbytes, f"peak {peak / Z.nbytes:.2f} x Z.nbytes"
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])

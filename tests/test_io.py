@@ -343,6 +343,33 @@ def test_failed_split_read_is_read_serially(tmp_path, two_cpus, monkeypatch, att
     # the conftest fixtures fail the test if a child or a descriptor is left
 
 
+def test_spill_reads_back_the_blocks_it_stored(tmp_path):
+    M = awkward_matrix("C")[:50, :7]
+    with fileio.Spill(M.shape, tmp_path / "new") as spill:
+        for first, stop in ((0, 3), (3, 4), (4, 7)):
+            spill[:, first:stop] = M[:, first:stop]
+        assert list((tmp_path / "new").iterdir()) == []  # the file has no name
+        for rows in (slice(0, 50), slice(13, 14), slice(20, 49), slice(49, 60)):
+            got = spill[rows]
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, M[rows], equal_nan=True)
+        write_matrix_csv(tmp_path / "m.csv", spill)
+    assert (tmp_path / "m.csv").read_bytes() == reference_csv(M)
+
+
+def test_spill_takes_whole_columns_in_order_and_reads_when_complete(tmp_path):
+    with fileio.Spill((4, 3), tmp_path) as spill:
+        with pytest.raises(ValueError, match="first to last"):
+            spill[:, 1:2] = np.ones((4, 1))
+        with pytest.raises(ValueError, match="first to last"):
+            spill[:2, 0:1] = np.ones((2, 1))
+        with pytest.raises(ValueError, match="expected \\(4, 2\\)"):
+            spill[:, 0:2] = np.ones((4, 3))
+        spill[:, 0:2] = np.ones((4, 2))
+        with pytest.raises(ValueError, match="once every column is stored"):
+            spill[0:1]
+
+
 def test_atomic_write_replaces_and_leaves_no_litter(tmp_path):
     path = tmp_path / "out.txt"
     path.write_text("old")
