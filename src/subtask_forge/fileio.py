@@ -11,10 +11,10 @@ or exponent notation with an optional sign and surrounding blanks, or
 although Python's ``float`` takes them. Empty lines are skipped, CRLF and
 CR line ends are read as newlines, and the final newline may be missing.
 A matrix whose header declares at least ``_FORK_MIN_ENTRIES`` entries,
-read by a process that may run on more than one CPU, is parsed on two: a
-forked child parses the bytes after the first newline past the middle of
-the body while this process parses the bytes before it. Unless both halves
-parse and their shapes add up to the header's, the whole file is read
+read by a process that may run on more than one CPU, is parsed on two, split
+at the writer's row: a forked child parses the lines after the first half
+of the header's rows while this process parses those lines. Unless each
+half has exactly the shape the header gives it, the whole file is read
 again in one process, which decides every failure and its message. So
 every file gives the same array, or the same error, either way.
 
@@ -36,7 +36,7 @@ and ``factorize``'s restarts share.
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
 import math
 import os
@@ -211,25 +211,21 @@ def _write_rows(fh, M, start: int, stop: int) -> None:
 def _write_rows_forked(fh, M, directory: Path) -> None:
     """Append every row of M to ``fh``, the second half formatted by a child.
 
-    Through :func:`split_work`: the child streams its rows into a sibling
-    ``.part`` file while this process formats the first half; the part is
-    then appended. Should the child fail, this process formats the second
-    half itself. The part file is removed on every path.
+    Through :func:`split_work`: the child streams rows ``(rows + 1) // 2``
+    on into an unlinked temp file in ``directory`` while this process
+    formats the first half; the part is then appended. Should the child
+    fail, this process formats the second half itself. The part has no
+    name, so nothing is left behind however the process ends.
     """
     rows = M.shape[0]
     half = (rows + 1) // 2
-    fd, part = tempfile.mkstemp(dir=directory, prefix=".", suffix=".part")
-    try:
+    with tempfile.TemporaryFile(dir=directory) as part:
         _, child_wrote = split_work(lambda: _write_rows(fh, M, 0, half),
-                                    lambda: _write_part(fd, M, half, rows),
+                                    lambda: _write_part(part.fileno(), M, half, rows),
                                     lambda: _write_rows(fh, M, half, rows))
         if child_wrote:
-            with open(fd, "rb", closefd=False) as src:
-                src.seek(0)  # the child shared this descriptor's offset
-                shutil.copyfileobj(src, fh)
-    finally:
-        os.close(fd)
-        os.unlink(part)
+            part.seek(0)  # the child shared this descriptor's offset
+            shutil.copyfileobj(part, fh)
 
 
 def _write_part(fd: int, M, start: int, stop: int) -> bool:
@@ -278,11 +274,12 @@ def _read_serial(path: Path) -> np.ndarray:
     return body
 
 
-def _parse(text) -> np.ndarray:
-    """The rows of a text stream, parsed by numpy's C parser."""
+def _parse(text, skip: int = 0) -> np.ndarray:
+    """The rows of a text stream after its first ``skip`` lines, parsed by
+    numpy's C parser."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no rows: counted by the caller
-        return np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+        return np.loadtxt(text, delimiter=",", comments=None, ndmin=2, skiprows=skip)
 
 
 #: Longest header line the split reader looks at; a longer one is left to
@@ -293,15 +290,16 @@ _HEADER_BYTES = 64
 def _read_split(path: Path) -> np.ndarray | None:
     """The body parsed on two CPUs, or None where only the serial reader may decide.
 
-    Only a matrix of at least ``_FORK_MIN_ENTRIES`` entries, by its header,
-    is split, at the first newline from the middle of the body on. Through
-    :func:`split_work`, a forked child parses the bytes after that newline
-    while this process parses the bytes before it, each half as a text
-    stream of exactly its own byte range (a newline never splits a CRLF pair
-    or a UTF-8 character). The halves are accepted only if both have the
-    header's column count and their rows add up to the header's row count.
-    Anything else, a failed half or child included, returns None. The result
-    is allocated once: this process copies its half in, then the child's.
+    Only a matrix of at least ``_FORK_MIN_ENTRIES`` entries and two rows, by
+    its header, is split, at the writer's row ``half = (rows + 1) // 2``.
+    Through :func:`split_work`, this process parses the ``half`` lines after
+    the header while a forked child parses every line after those, each as
+    the serial reader reads text. Each half is accepted only if it has
+    exactly the shape the header gives it, ``(half, cols)`` and ``(rows -
+    half, cols)``: an empty line among the first ``half`` leaves this
+    process short, so such a file is read serially. Anything else, a failed
+    half or child included, returns None. The result is allocated once: this
+    process copies its half in, then the child's.
     """
     with open(path, "rb") as fh:
         line = fh.readline(_HEADER_BYTES)
@@ -315,64 +313,37 @@ def _read_split(path: Path) -> np.ndarray | None:
         end = fh.seek(0, os.SEEK_END)
         # each entry takes a value and a separator, at least 2 bytes: a
         # header that declares more than the body can hold is not allocated
-        if not _FORK_MIN_ENTRIES <= rows * cols <= (end - len(line) + 1) // 2:
+        if rows < 2 or not _FORK_MIN_ENTRIES <= rows * cols <= (end - len(line) + 1) // 2:
             return None
-        split = _line_start(fh, (len(line) + end) // 2)
-    if split is None or split == end:
-        return None
+    half = (rows + 1) // 2
     out = np.empty((rows, cols))
 
-    def first() -> int:
-        mine = _parse_range(path, len(line), split)
-        if mine.shape[1] != cols or len(mine) > rows:
+    def first() -> None:
+        mine = _parse_rows(path, 1, half)
+        if mine.shape != (half, cols):
             raise ValueError("the first half does not fit the header")
-        out[:len(mine)] = mine
-        return len(mine)
+        out[:half] = mine
 
     try:
-        head, theirs = split_work(first, lambda: _parse_range(path, split, end), lambda: None)
+        _, theirs = split_work(first, lambda: _parse_rows(path, 1 + half), lambda: None)
     except Exception:  # a failed half, whatever the error: the serial reader decides
         return None
-    if theirs is None or theirs.shape != (rows - head, cols):
+    if theirs is None or theirs.shape != (rows - half, cols):
         return None
-    out[head:] = theirs
+    out[half:] = theirs
     return out
 
 
-def _line_start(fh, pos: int) -> int | None:
-    """Offset just past the first newline at or after ``pos``, or None."""
-    fh.seek(pos)
-    while chunk := fh.read(io.DEFAULT_BUFFER_SIZE):
-        i = chunk.find(b"\n")
-        if i >= 0:
-            return pos + i + 1
-        pos += len(chunk)
-    return None
+def _parse_rows(path: Path, skip: int, lines: int | None = None) -> np.ndarray:
+    """Rows of the ``lines`` lines (default: all) after the first ``skip`` of
+    ``path``, read as the serial reader reads text.
 
-
-class _ByteRange(io.RawIOBase):
-    """Bytes ``start:stop`` of a file, read without moving a shared offset."""
-
-    def __init__(self, fd: int, start: int, stop: int):
-        self.fd, self.pos, self.stop = fd, start, stop
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = min(len(buf), self.stop - self.pos)
-        if n <= 0:
-            return 0
-        got = os.preadv(self.fd, [memoryview(buf)[:n]], self.pos)
-        self.pos += got
-        return got
-
-
-def _parse_range(path: Path, start: int, stop: int) -> np.ndarray:
-    """Rows of bytes ``start:stop`` of ``path``, read as the serial reader reads text."""
-    with open(path, "rb") as fh, io.TextIOWrapper(
-            io.BufferedReader(_ByteRange(fh.fileno(), start, stop)), encoding="utf-8") as text:
-        return _parse(text)
+    Lines, not rows, bound both ends: ``np.loadtxt``'s ``max_rows`` would
+    not count empty lines, so a header that overstates the rows by the empty
+    lines in the first half would have both halves read the same rows.
+    """
+    with open(path, encoding="utf-8") as fh:
+        return _parse(fh if lines is None else itertools.islice(fh, skip + lines), skip)
 
 
 def _ragged_row(path: Path, cols: int) -> str | None:

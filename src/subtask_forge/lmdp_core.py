@@ -221,16 +221,13 @@ class _FiniteExitSystem:
         return rho
 
     def rhs(self, q_b: np.ndarray) -> np.ndarray:
-        entering = self.L.dynamics.P_bi.T @ q_b
-        if entering.ndim == 2:
-            return self.g[:, None] * entering
-        return self.g * entering
+        return self.g[:, None] * (self.L.dynamics.P_bi.T @ q_b)
 
     def solve(self, q_b: np.ndarray | None, q_floor: float = 0.0, out=None):
-        """Solve for a boundary-reward vector, or one column per task; validates.
+        """Solve for one column of boundary rewards per task; validates.
 
-        One column per task is solved a block of columns at a time: each
-        block is floored at ``q_floor``, solved, checked and stored as
+        The tasks are solved a block of columns at a time: each block is
+        floored at ``q_floor``, solved, checked and stored as
         ``out[:, first:stop]``, first to last, so the solve holds ``q_b``, the
         LU factors and a few arrays of ``SOLVE_BLOCK_ENTRIES`` entries besides
         ``out``. ``out`` None is a fresh C-ordered array; ``out`` is returned.
@@ -238,10 +235,6 @@ class _FiniteExitSystem:
         floored blocks are built here: ``q_floor`` everywhere and 1 on each
         task's goal.
         """
-        if q_b is not None and q_b.ndim == 1:
-            z = self.lu.solve(self.rhs(q_b))
-            self.check(z, q_b)
-            return z
         n, n_tasks = self.L.n_interior, self.L.n_boundary if q_b is None else q_b.shape[1]
         if out is None:
             out = np.empty((n, n_tasks))
@@ -260,14 +253,13 @@ class _FiniteExitSystem:
             out[:, first:stop] = z
         return out
 
-    def check(self, z: np.ndarray, q_b: np.ndarray, first: int = 0) -> None:
-        """Raise unless z is positive and solves the fixed point for q_b.
+    def check(self, Z: np.ndarray, Q: np.ndarray, first: int = 0) -> None:
+        """Raise unless Z is positive and solves the fixed point for Q.
 
-        With one column per task in z and q_b, each column is held to its own
+        Z and Q hold one column per task. Each column is held to its own
         tolerance and the error names the first failing one, "task t: ...",
         counting tasks from ``first``.
         """
-        Z, Q = z.reshape(len(z), -1), q_b.reshape(len(q_b), -1)
         res = Z - self.g[:, None] * (self.L.dynamics.P_ii.T @ Z + self.L.dynamics.P_bi.T @ Q)
         res = np.abs(res).max(axis=0, initial=0.0)
         tol = np.maximum(RESIDUAL_TOL, RESIDUAL_TOL * np.abs(Z).max(axis=0, initial=0.0))
@@ -283,7 +275,7 @@ class _FiniteExitSystem:
         else:
             msg = (f"fixed-point residual {res[t]:g} exceeds tolerance; system is "
                    f"ill-conditioned (estimated spectral radius {self._spectral_radius():.6g})")
-        raise SingularSystemError(f"task {first + t}: {msg}" if z.ndim == 2 else msg)
+        raise SingularSystemError(f"task {first + t}: {msg}")
 
 
 def _check_q_b(L: Lmdp, q_b) -> np.ndarray:
@@ -306,7 +298,7 @@ def solve_finite_exit(L: Lmdp, q_b) -> np.ndarray:
     are not contractive, ``ValueError`` on non-positive ``q_b``.
     """
     q = _check_q_b(L, q_b)
-    return _FiniteExitSystem(L).solve(q)
+    return _FiniteExitSystem(L).solve(q[:, None])[:, 0]
 
 
 def solve_iterative(L: Lmdp, q_b, tol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:

@@ -56,7 +56,7 @@ def two_cpus(monkeypatch):
     """Report two CPUs on any machine, so the CSV reader and writer and nmf
     may split their work; record the forks they make. Fail a test that
     leaves open a file descriptor it opened, such as the pipe of a split or
-    a writer's ``.part`` or ``.tmp`` file."""
+    a writer's part or ``.tmp`` file."""
     forks = []
     real_fork = os.fork
 

@@ -10,6 +10,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import augmented_stacked, equal_dynamics, read_hierarchy, write_hierarchy
@@ -17,6 +19,7 @@ from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
 from subtask_forge.errors import AlphaRangeError
 from subtask_forge.factorize import Factorization, NmfOptions
 from subtask_forge.hierarchy import (
+    ABSORPTION_TOL,
     augment_with_subtasks,
     build_hierarchy,
     derive_higher_layer,
@@ -27,6 +30,7 @@ from subtask_forge.hierarchy import (
     subtask_alpha_max,
 )
 from subtask_forge.lmdp_core import Lmdp, PassiveDynamics, StateSpace
+from test_lmdp_core import random_lmdps
 
 
 def fact(D, W=None) -> Factorization:
@@ -169,6 +173,23 @@ def test_derive_requires_positive_alpha():
     layer = augment_with_subtasks(toy_lmdp(), fact(TOY_D), 0.0)
     with pytest.raises(ValueError, match="alpha > 0"):
         derive_higher_layer(layer)
+
+
+@given(random_lmdps(), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**31),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=200)
+def test_derived_columns_sum_to_one(case, k, seed, fraction):
+    # criterion 11: for any positive D and 0 < alpha < alpha_max, walks from
+    # each footprint are absorbed with probability 1
+    L, _ = case
+    D = np.random.default_rng(seed).uniform(1e-3, 1.0, (L.n_interior, k))
+    F = fact(D)
+    layer = augment_with_subtasks(L, F, fraction * subtask_alpha_max(F))
+    top = derive_higher_layer(layer)
+    P = np.vstack([top.dynamics.P_ii.toarray(), top.dynamics.P_bi.toarray()])
+    assert P.shape == (k + L.n_boundary, k) and np.all(P >= 0)
+    assert np.all(np.abs(P.sum(axis=0) - 1.0) <= ABSORPTION_TOL)
 
 
 def _mc_absorption(layer, t_col: int, n_walks: int, rng) -> np.ndarray:

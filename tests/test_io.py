@@ -142,6 +142,24 @@ def test_failed_parent_half_leaves_no_litter_and_no_child(tmp_path, two_cpus, mo
     assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
 
 
+def test_split_writer_leaves_no_named_part(tmp_path, two_cpus, monkeypatch):
+    # the child's half goes to an unlinked file: while this process writes
+    # its half, the directory holds only the writer's own temp file
+    real_write_rows = fileio._write_rows
+    seen = []
+
+    def spy(fh, M, start, stop):
+        seen.append(sorted(p.name for p in tmp_path.iterdir()))
+        real_write_rows(fh, M, start, stop)
+
+    monkeypatch.setattr(fileio, "_write_rows", spy)
+    M = awkward_matrix("C")
+    write_matrix_csv(tmp_path / "m.csv", M)
+    assert len(two_cpus) == 1
+    assert seen and all(len(names) == 1 and names[0].endswith(".tmp") for names in seen)
+    assert (tmp_path / "m.csv").read_bytes() == reference_csv(M)
+
+
 def test_writer_holds_the_text_of_a_few_rows(tmp_path, monkeypatch):
     # 1600 columns, as a 1600 x 1600 basis: the peak is one write's text,
     # so 64 rows show it; whole 2^16-entry blocks held 4.5 MB
@@ -306,6 +324,26 @@ def test_split_reader_header_one_row_off_with_blank_lines_in_both_halves(
     assert len(two_cpus) == 1
 
 
+@pytest.mark.parametrize("overstated_by", [0, 3])
+def test_split_reader_reads_blank_lines_before_the_split_serially(tmp_path, two_cpus,
+                                                                 monkeypatch, overstated_by):
+    # an empty line after each of the first 3 rows leaves the first half 3
+    # rows short, so the serial reader decides; had that half counted rows,
+    # not lines, it would read 3 rows past its last line, and a header
+    # overstated by 3 would give both halves the header's shapes
+    rows = 2 * PAD_ROWS
+    lines = [f"{i}.5,{i}.25\n" + ("\n" if i < 3 else "") for i in range(rows)]
+    path = tmp_path / "m.csv"
+    path.write_bytes(f"{rows + overstated_by},2\n{''.join(lines)}".encode())
+    expected = one_cpu_read(monkeypatch, path)
+    if overstated_by:
+        assert expected == f"{path}: header declares {rows + overstated_by} rows, file has {rows}"
+    else:
+        assert expected.shape == (rows, 2)
+    assert_same_read(split_read(path), expected)
+    assert len(two_cpus) == 1
+
+
 def test_split_reader_allocates_no_more_than_the_body_can_hold(tmp_path, two_cpus,
                                                                monkeypatch):
     # a 10^12-entry header over a small body: at 2 bytes an entry at least,
@@ -329,13 +367,13 @@ def _parent_half_fails(real):
     return parse_range
 
 
-@pytest.mark.parametrize("attr,failure", CHILD_FAILURES + [("_parse_range", None)])
+@pytest.mark.parametrize("attr,failure", CHILD_FAILURES + [("_parse_rows", None)])
 def test_failed_split_read_is_read_serially(tmp_path, two_cpus, monkeypatch, attr, failure):
     M = np.random.default_rng(2).standard_normal((300, 256))
     path = tmp_path / "m.csv"
     path.write_bytes(reference_csv(M))
     if failure is None:
-        failure = _parent_half_fails(fileio._parse_range)
+        failure = _parent_half_fails(fileio._parse_rows)
     inject(monkeypatch, attr, failure)
     back = read_matrix_csv(path)
     assert len(two_cpus) == (attr != "fork")
