@@ -20,15 +20,15 @@ every file gives the same array, or the same error, either way.
 
 The writer takes rows from an array or from a :class:`Spill`, a matrix
 kept in an unlinked temp file, about ``_READ_ENTRIES`` entries at a time.
-It formats one row, or a few narrow rows, per write into a temp file that
-replaces the target once complete, so neither the whole text nor, from a
-spill, the whole matrix is ever held at once. A matrix with rows but no
-columns is rejected: its rows would be empty lines, which the reader
-skips. A matrix of at least ``_FORK_MIN_ENTRIES`` entries, written by a
-process that may run on more than one CPU, is formatted on two: a forked
-child formats the second half of the rows while this process formats the
-first; a spill's child reads its rows from the same descriptor. The bytes
-are the same either way.
+It writes the ``repr`` of ``_WRITE_ENTRIES`` entries at a time, by
+:mod:`floatrepr`, into a temp file that replaces the target once complete,
+so no text beyond that, nor from a spill the whole matrix, is ever held.
+A matrix with rows but no columns is rejected: its rows would be empty
+lines, which the reader skips. A matrix of at least ``_FORK_MIN_ENTRIES``
+entries, written by a process that may run on more than one CPU, is
+formatted on two: a forked child formats the second half of the rows
+while this process formats the first; a spill's child reads its rows from
+the same descriptor. The bytes are the same either way.
 
 :func:`split_work` holds the one fork protocol that the reader, the writer
 and ``factorize``'s restarts share.
@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import mmap
 import os
 import pickle
 import shutil
@@ -51,24 +52,23 @@ from pathlib import Path
 import numpy as np
 
 #: Smallest matrix, in entries, whose second half of rows a forked child
-#: formats. Measured on 2 cores: formatting costs 0.7-1.0 us an entry
-#: (``repr`` dominates); a fork, ``os._exit`` and wait of a process holding
-#: a solved 400^2 or 1600^2 basis (65-160 MB resident) costs 3-7 ms, and
-#: appending the part about 0.5 ms per MB. A random 128^2 matrix wrote in
-#: 10.8 ms split against 11.8 ms in one process, 256^2 (this floor) in 41
-#: against 68 ms. A 125^2 taxi basis stays in one process. The reader
-#: splits its parse, and ``factorize`` its NMF restarts, from the same floor.
+#: formats. Measured on 2 cores in a process holding 61 MB: formatting
+#: costs 0.45-0.7 us an entry; a fork, ``os._exit`` and wait cost 3-7 ms,
+#: and appending the part about 0.5 ms per MB. A random 128^2 matrix wrote
+#: in 11.8 ms split against 11.2 ms in one process, 256^2 (this floor) in
+#: 28.7 against 31.1 ms, 1600^2 in 0.73 against 1.18 s. A 125^2 taxi basis
+#: stays in one process. The reader splits its parse, and ``factorize`` its
+#: NMF restarts, from the same floor, where each still gains more.
 _FORK_MIN_ENTRIES = 1 << 16
 
-#: Entries formatted per write: one row, or as many whole rows as fit in
-#: this many. A write holds its entries as Python floats, one row's reprs,
-#: and its text three times over (the row strings, their join and its
-#: encoding).
+#: Entries formatted per write, across rows or within one. The formatter's
+#: numpy work arrays peak near 160 bytes an entry; fewer entries a write
+#: would pay numpy's cost per call more often.
 _WRITE_ENTRIES = 1 << 12
 
-#: Entries the writer takes from its matrix at a time: whole rows, a
-#: multiple of one write's, about this many. From a spill that is one
-#: ``os.preadv`` per stored block of columns, into about 0.5 MB.
+#: Entries the writer takes from its matrix at a time: whole rows, about
+#: this many, or one wider row. From a spill that is one ``os.preadv`` per
+#: stored block of columns, into about 0.5 MB.
 _READ_ENTRIES = 1 << 16
 
 
@@ -198,14 +198,13 @@ def _child(wfd: int, work):
 
 def _write_rows(fh, M, start: int, stop: int) -> None:
     """Append rows ``start:stop`` of M, an array or a spill, to the binary file ``fh``."""
+    from .floatrepr import repr_text  # compiled only where a matrix is written
     cols = max(M.shape[1], 1)
-    step = max(1, _WRITE_ENTRIES // cols)
-    take = step * max(1, _READ_ENTRIES // (step * cols))
+    take = max(1, _READ_ENTRIES // cols)
     for i in range(start, stop, take):
         rows = M[i:min(i + take, stop)]
-        for j in range(0, len(rows), step):
-            block = rows[j:j + step].tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block).encode())
+        for first in range(0, rows.size, _WRITE_ENTRIES):
+            fh.write(repr_text(rows.flat[first:first + _WRITE_ENTRIES], first, cols))
 
 
 def _write_rows_forked(fh, M, directory: Path) -> None:
@@ -299,7 +298,8 @@ def _read_split(path: Path) -> np.ndarray | None:
     half, cols)``: an empty line among the first ``half`` leaves this
     process short, so such a file is read serially. Anything else, a failed
     half or child included, returns None. The result is allocated once: this
-    process copies its half in, then the child's.
+    process copies its half in, then the child's from a shared anonymous
+    mapping made before the fork; only whether it fitted is pickled back.
     """
     with open(path, "rb") as fh:
         line = fh.readline(_HEADER_BYTES)
@@ -324,13 +324,21 @@ def _read_split(path: Path) -> np.ndarray | None:
             raise ValueError("the first half does not fit the header")
         out[:half] = mine
 
-    try:
-        _, theirs = split_work(first, lambda: _parse_rows(path, 1 + half), lambda: None)
-    except Exception:  # a failed half, whatever the error: the serial reader decides
-        return None
-    if theirs is None or theirs.shape != (rows - half, cols):
-        return None
-    out[half:] = theirs
+    def second() -> bool:
+        theirs = _parse_rows(path, 1 + half)
+        if theirs.shape != (rows - half, cols):
+            return False
+        np.frombuffer(shared)[:] = theirs.ravel()
+        return True
+
+    with mmap.mmap(-1, 8 * (rows - half) * cols) as shared:
+        try:
+            _, sent = split_work(first, second, lambda: False)
+        except Exception:  # a failed half, whatever the error: the serial reader decides
+            return None
+        if not sent:
+            return None
+        out[half:] = np.frombuffer(shared).reshape(rows - half, cols)
     return out
 
 

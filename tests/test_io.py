@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CHILD_FAILURES, inject
 from subtask_forge import fileio
@@ -173,6 +175,71 @@ def test_writer_holds_the_text_of_a_few_rows(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert (tmp_path / "m.csv").read_bytes() == reference_csv(M)
     assert peak < 1 << 20, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_writer_holds_a_few_blocks_of_a_wide_row(tmp_path, monkeypatch):
+    # a row wider than one write is formatted a block of columns at a time;
+    # the whole row's text held 16.7 MB
+    monkeypatch.setattr(fileio.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    M = np.random.default_rng(4).uniform(0.0, 1.0, (1, 1 << 17))
+    tracemalloc.start()
+    try:
+        write_matrix_csv(tmp_path / "m.csv", M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "m.csv").read_bytes() == reference_csv(M)
+    assert peak < 1 << 20, f"peak {peak / 1e6:.2f} MB"
+
+
+def from_bits(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def assert_writes_reference(path, M) -> None:
+    write_matrix_csv(path, M)
+    assert path.read_bytes() == reference_csv(M)
+
+
+#: Both zeros, both infinities, and quiet and signalling NaNs with payloads.
+SPECIAL_BITS = [0, 1 << 63, 0x7FF << 52, 0xFFF << 52, 0x7FF8 << 48, 0xFFF8 << 48,
+                0x7FF0_0000_0000_0001, 0x7FF4_0000_DEAD_BEEF, 0xFFFF_FFFF_FFFF_FFFF]
+
+
+@given(st.lists(st.integers(0, (1 << 64) - 1) | st.sampled_from(SPECIAL_BITS),
+                min_size=1, max_size=200))
+@settings(max_examples=300)
+def test_formatter_writes_repr_of_any_bit_pattern(tmp_path_factory, bits):
+    path = tmp_path_factory.getbasetemp() / "bits.csv"
+    assert_writes_reference(path, from_bits(bits).reshape(1, -1))
+
+
+def test_formatter_writes_repr_at_every_exponent(tmp_path):
+    exponent = np.arange(2048, dtype=np.uint64) << 52
+    rows = [sign << 63 | exponent | significand
+            for sign in (0, 1) for significand in (0, 1, (1 << 52) - 1)]
+    assert_writes_reference(tmp_path / "exponents.csv", from_bits(rows))
+    noise = np.random.default_rng(6).integers(0, 1 << 64, (256, 256), np.uint64, endpoint=False)
+    assert_writes_reference(tmp_path / "noise.csv", from_bits(noise))
+
+
+def test_formatter_writes_repr_of_powers_of_ten_and_their_neighbours(tmp_path):
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    M = np.stack([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    assert_writes_reference(tmp_path / "m.csv", np.vstack([M, -M]))
+
+
+def test_formatter_writes_repr_where_the_layout_switches(tmp_path):
+    # positional for decimal exponents -4 to 15, d.ddde+XX outside them
+    edges = np.array([1e-4, 1e-5, 1e16])
+    values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                             [9999999999999998.0, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2]])
+    assert_writes_reference(tmp_path / "m.csv", np.stack([values, -values]))
+    # every layout: 1 to 17 digits at each exponent near the switches
+    digits = "12345678901234567"
+    layouts = [[float(f"{digits[0]}.{digits[1:n]}e{E}") for E in [-300, -99, *range(-7, 19), 300]]
+               for n in range(1, 18)]
+    assert_writes_reference(tmp_path / "layouts.csv", layouts)
 
 
 def test_split_reader_fills_one_array(tmp_path, two_cpus):

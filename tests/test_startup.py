@@ -47,6 +47,16 @@ print(json.dumps({"scipy": loaded("scipy")}))
     assert out["scipy"] == []
 
 
+def test_cli_import_builds_no_formatter_table():
+    # ``--version`` imports the CLI and formats nothing: the formatter's
+    # module, and so its power table, loads with the first matrix written
+    out = run_cold("""
+import subtask_forge.cli
+print(json.dumps({"loaded": loaded("subtask_forge.floatrepr")}))
+""")
+    assert out == {"loaded": []}
+
+
 def test_commands_without_sparse_matrices_load_no_scipy(tmp_path):
     spec = {"type": "rooms", "params": {"room_rows": 2, "room_cols": 2, "room_size": 2}}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
