@@ -84,7 +84,8 @@ def assignment_purity(F: Factorization, labels) -> float:
 
     Each interior state joins the cluster of its largest normalized D entry
     (ties to the lowest subtask index); purity sums each cluster's majority
-    label count and divides by the number of states.
+    label count and divides by the number of states. Acceptance criteria 7
+    and 8 read this number; ``analyze`` writes the full report.
     """
     return purity_report(F, labels)["purity"]
 
@@ -123,7 +124,8 @@ def circular_spread(D, n_positions: int | None = None) -> SpreadSummary:
 
     Treats column entries as weights on positions 0..n-1 of a ring and
     computes sqrt(-2 ln R) per column, R being the mean resultant length.
-    Near-point masses give ~0; uniform spread gives large values.
+    Near-point masses give ~0; uniform spread gives large values. No
+    command reports it; acceptance criterion 10 reads it per ring level.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2:
@@ -141,7 +143,8 @@ def circular_spread(D, n_positions: int | None = None) -> SpreadSummary:
 
 
 def top_scoring_states(g, count: int) -> np.ndarray:
-    """Indices of the ``count`` largest scores, best first, stable for ties."""
+    """Indices of the ``count`` largest scores, best first, stable for ties;
+    acceptance criterion 9 ranks the doorway scores with it."""
     g = np.asarray(g, dtype=float)
     if not 0 <= count <= g.size:
         raise ValueError(f"count must lie in [0, {g.size}], got {count}")

@@ -12,11 +12,12 @@ in-taxi block last.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .lmdp_core import Lmdp, PassiveDynamics, StateSpace
+from .lmdp_core import Lmdp, PassiveDynamics, StateSpace, _is_int, _is_number, _json_field
 
 DEFAULT_R_STEP = -1.0
 DEFAULT_LAMBDA = 1.0
@@ -55,10 +56,26 @@ def _check_states(kind: str, n_states: int) -> None:
         )
 
 
-def _coerce_ints(spec, *names) -> None:
-    """Store int(value) for each named field of a frozen spec."""
-    for name in names:
-        object.__setattr__(spec, name, int(getattr(spec, name)))
+def _is_list_of(accepts):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(accepts, v))
+
+
+def _is_pair_of(accepts):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(accepts, v))
+
+
+#: What a spec field of each kind accepts: a predicate and its description.
+#: A count is a JSON integer, so a float, a string or a bool is refused.
+_INT = (_is_int, "an integer")
+_CELLS = (_is_list_of(_is_pair_of(_is_int)), "a list of [row, col] integer pairs")
+_WALLS = (_is_list_of(_is_pair_of(_is_pair_of(_is_int))),
+          "a list of pairs of [row, col] integer pairs")
+
+
+def _check_fields(spec, kind: str, **checks) -> None:
+    """Raise ValueError naming the first field of ``spec`` its check refuses."""
+    for name, (accepts, what) in checks.items():
+        _json_field(vars(spec), name, accepts, what, f"{kind} spec:")
 
 
 @dataclass(frozen=True)
@@ -75,7 +92,7 @@ class RoomsSpec:
     layout: str = "grid"
 
     def __post_init__(self):
-        _coerce_ints(self, "room_rows", "room_cols", "room_size")
+        _check_fields(self, "rooms", room_rows=_INT, room_cols=_INT, room_size=_INT)
         if self.room_rows < 1 or self.room_cols < 1:
             raise ValueError(
                 f"rooms spec: room_rows and room_cols must be >= 1, "
@@ -111,31 +128,25 @@ class TaxiSpec:
     walls: tuple = DEFAULT_TAXI_WALLS
 
     def __post_init__(self):
-        _coerce_ints(self, "grid_side")
+        _check_fields(self, "taxi", grid_side=_INT, depots=_CELLS, walls=_WALLS)
         g = self.grid_side
         if g < 2:
             raise ValueError(f"taxi spec: grid_side must be >= 2, got {g}")
-        depots = tuple((int(r), int(c)) for r, c in self.depots)
+        depots = tuple(map(tuple, self.depots))
+        walls = tuple((tuple(a), tuple(b)) for a, b in self.walls)
         if len(depots) != 4:
             raise ValueError(f"taxi spec: exactly 4 depots required, got {len(depots)}")
         _check_states("taxi", g * g * (len(depots) + 1))
         if len(set(depots)) != 4:
             raise ValueError("taxi spec: depots must be distinct")
-        for r, c in depots:
+        for r, c in depots + sum(walls, ()):
             if not (0 <= r < g and 0 <= c < g):
-                raise ValueError(f"taxi spec: depot ({r}, {c}) is outside the {g}x{g} grid")
-        walls = []
-        for pair in self.walls:
-            (r1, c1), (r2, c2) = pair
-            a, b = (int(r1), int(c1)), (int(r2), int(c2))
-            for r, c in (a, b):
-                if not (0 <= r < g and 0 <= c < g):
-                    raise ValueError(f"taxi spec: wall cell ({r}, {c}) is outside the grid")
+                raise ValueError(f"taxi spec: cell ({r}, {c}) is outside the {g}x{g} grid")
+        for a, b in walls:
             if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
                 raise ValueError(f"taxi spec: wall cells {a} and {b} are not adjacent")
-            walls.append((a, b))
         object.__setattr__(self, "depots", depots)
-        object.__setattr__(self, "walls", tuple(walls))
+        object.__setattr__(self, "walls", walls)
 
     @property
     def n_cells(self) -> int:
@@ -153,7 +164,7 @@ class RingSpec:
     n: int
 
     def __post_init__(self):
-        _coerce_ints(self, "n")
+        _check_fields(self, "ring", n=_INT)
         if self.n < 3:
             raise ValueError(f"ring spec: n must be >= 3, got {self.n}")
         _check_states("ring", self.n)
@@ -260,15 +271,6 @@ def rooms_doorway_pairs(spec: RoomsSpec):
             col = c1 * size + mid
             out.append(((rt * size + size - 1, col), (rb * size, col)))
     return out
-
-
-def rooms_doorway_cells(spec: RoomsSpec):
-    """Sorted interior indices of all cells incident to a doorway edge."""
-    cells = set()
-    for a, b in rooms_doorway_pairs(spec):
-        cells.add(a[0] * spec.cols + a[1])
-        cells.add(b[0] * spec.cols + b[1])
-    return sorted(cells)
 
 
 def build_rooms(spec: RoomsSpec, r_step=DEFAULT_R_STEP, lam=DEFAULT_LAMBDA,
@@ -392,13 +394,14 @@ def parse_domain_config(obj) -> DomainConfig:
     unknown = set(obj) - {"type", "params", "r_step", "lambda"}
     if unknown:
         raise ValueError(f"unknown domain config field {sorted(unknown)[0]!r}")
-    try:
-        r_step = float(obj.get("r_step", DEFAULT_R_STEP))
-        lam = float(obj.get("lambda", DEFAULT_LAMBDA))
-    except (TypeError, ValueError):
-        raise ValueError("fields 'r_step' and 'lambda' must be numbers") from None
-    if not (np.isfinite(r_step) and np.isfinite(lam)):
-        raise ValueError(f"fields 'r_step' and 'lambda' must be finite, got {r_step}, {lam}")
+    obj = {"r_step": DEFAULT_R_STEP, "lambda": DEFAULT_LAMBDA, **obj}
+    r_step, lam = (_json_field(obj, key, _is_number, "a number", "domain config")
+                   for key in ("r_step", "lambda"))
+    # NaN, the infinities and integers past the float range all fail this
+    if not (abs(r_step) <= sys.float_info.max and abs(lam) <= sys.float_info.max):
+        raise ValueError(f"fields 'r_step' and 'lambda' must be finite, "
+                         f"got {r_step!r:.40}, {lam!r:.40}")
+    r_step, lam = float(r_step), float(lam)
     if not lam > 0:
         raise ValueError(f"field 'lambda' must be positive, got {lam}")
     return DomainConfig(kind=kind, params=dict(params), r_step=r_step, lam=lam)
@@ -412,6 +415,9 @@ def domain_spec(cfg: DomainConfig):
     spec_cls = DOMAINS[cfg.kind][0]
     params = dict(cfg.params)
     tw = params.pop("twin_weight", None)
+    if tw is not None and not _is_number(tw):
+        raise ValueError(f"{cfg.kind} spec: field 'twin_weight' must be a number, "
+                         f"got {tw!r:.40}")
     defaults = {f.name: f.default for f in fields(spec_cls)}
     for key in params:
         if key not in defaults:
@@ -419,12 +425,7 @@ def domain_spec(cfg: DomainConfig):
     for name, default in defaults.items():
         if default is MISSING and name not in params:
             raise ValueError(f"{cfg.kind} spec is missing parameter {name!r}")
-    try:
-        spec = spec_cls(**params)
-        twin_weight = None if tw is None or tw is False else float(tw)
-    except (TypeError, OverflowError) as exc:  # int() of an infinite size
-        raise ValueError(f"{cfg.kind} spec: {exc}") from None
-    return spec, twin_weight
+    return spec_cls(**params), tw
 
 
 def build_domain(cfg: DomainConfig) -> Lmdp:

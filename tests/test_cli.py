@@ -297,6 +297,32 @@ def test_spec_parameter_of_wrong_type_exits_2(tmp_path, kind, params):
         assert f"{kind} spec:" in result.stderr
 
 
+@pytest.mark.parametrize("spec,field", [
+    ({**ROOMS_SPEC, "params": {**ROOMS_SPEC["params"], "room_rows": 2.7}}, "room_rows"),
+    ({**ROOMS_SPEC, "params": {**ROOMS_SPEC["params"], "room_rows": "3"}}, "room_rows"),
+    ({**ROOMS_SPEC, "params": {**ROOMS_SPEC["params"], "room_rows": True}}, "room_rows"),
+    ({**ROOMS_SPEC, "params": {**ROOMS_SPEC["params"], "room_size": 3.0}}, "room_size"),
+    ({"type": "taxi", "params": {"grid_side": 5.0}}, "grid_side"),
+    ({"type": "ring", "params": {"n": 4.9}}, "n"),
+    ({"type": "taxi", "params": {"depots": [[0.5, 0], [0, 4], [4, 0], [4, 4]]}}, "depots"),
+    ({"type": "taxi", "params": {"walls": [[[0, 1.0], [0, 2]]]}}, "walls"),
+    ({"type": "ring", "params": {"n": 4}, "r_step": "-1"}, "r_step"),
+    ({"type": "ring", "params": {"n": 4}, "lambda": True}, "lambda"),
+    ({"type": "ring", "params": {"n": 4}, "r_step": 10 ** 400}, "r_step"),
+    ({"type": "ring", "params": {"n": 4, "twin_weight": "0.5"}}, "twin_weight"),
+    ({"type": "ring", "params": {"n": 4, "twin_weight": False}}, "twin_weight"),
+])
+def test_spec_value_of_wrong_type_exits_2_naming_it(tmp_path, spec, field):
+    # counts are JSON integers and the other numbers JSON numbers: nothing
+    # is rounded, parsed from a string or read from a bool
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["build", str(bad), str(tmp_path / "d.json")])
+    assert result.exit_code == 2
+    assert f"'{field}'" in result.stderr
+    assert not (tmp_path / "d.json").exists()
+
+
 @pytest.mark.parametrize("field", ["r_step", "lambda"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_spec_number_exits_2(tmp_path, field, value):
@@ -312,9 +338,9 @@ def test_non_finite_spec_number_exits_2(tmp_path, field, value):
 
 
 @pytest.mark.parametrize("kind,params,states", [
-    ("ring", {"n": 1e9}, 10 ** 9),
-    ("rooms", {"room_rows": 2, "room_cols": 2, "room_size": 1e5}, 4 * 10 ** 10),
-    ("taxi", {"grid_side": 1e4}, 5 * 10 ** 8),
+    ("ring", {"n": 10 ** 9}, 10 ** 9),
+    ("rooms", {"room_rows": 2, "room_cols": 2, "room_size": 10 ** 5}, 4 * 10 ** 10),
+    ("taxi", {"grid_side": 10 ** 4}, 5 * 10 ** 8),
 ])
 def test_oversized_spec_exits_2_at_once(tmp_path, kind, params, states):
     # the spec is refused from its fields alone, before any state is built

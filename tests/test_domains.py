@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from conftest import labels_boundary, labels_interior
 from subtask_forge.domains import (
@@ -19,7 +20,6 @@ from subtask_forge.domains import (
     parse_domain_config,
     region_labels,
     room_quadrant_of,
-    rooms_doorway_cells,
     rooms_doorway_pairs,
     rooms_quadrant_labels,
     rooms_room_labels,
@@ -29,7 +29,13 @@ from subtask_forge.lmdp_core import validate_lmdp
 
 
 def column_sums(L):
-    return np.asarray(L.dynamics.stacked().sum(axis=0)).reshape(-1)
+    stacked = sparse.vstack([L.dynamics.P_ii, L.dynamics.P_bi], format="csc")
+    return np.asarray(stacked.sum(axis=0)).reshape(-1)
+
+
+def doorway_cells(spec):
+    """Interior indices of the cells on either side of a doorway."""
+    return {r * spec.cols + c for pair in rooms_doorway_pairs(spec) for r, c in pair}
 
 
 def test_rooms_2x2x3_counts():
@@ -38,14 +44,14 @@ def test_rooms_2x2x3_counts():
     assert (L.n_interior, L.n_boundary) == (36, 36)
     assert validate_lmdp(L).ok
     assert len(rooms_doorway_pairs(spec)) == 4
-    assert len(rooms_doorway_cells(spec)) == 8
+    assert len(doorway_cells(spec)) == 8
 
 
 def test_rooms_4x4x5_counts():
     spec = RoomsSpec(4, 4, 5)
     assert spec.n_cells == 400
     assert len(rooms_doorway_pairs(spec)) == 24
-    assert len(rooms_doorway_cells(spec)) == 48
+    assert len(doorway_cells(spec)) == 48
 
 
 def test_rooms_doorway_positions():

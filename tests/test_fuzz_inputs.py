@@ -20,9 +20,9 @@ matrix CSV and the doorway score CSV must hold finite numbers only, and no
 SVG may draw a NaN or infinite value.
 
 Drawn integers stay in [-2, 64], and numbers in [-2, 8] inside a domain
-spec (which takes int() of a float size): a count is a size, and a count
-of 10**9 would make the loaders allocate gigabytes before anything could
-reject it.
+spec: a count is a size, and a count of 10**9 would make the loaders
+allocate gigabytes before anything could reject it. A spec refuses a float
+where it wants a count, so the spec's float draws exercise that rejection.
 """
 
 import json
@@ -66,7 +66,7 @@ def values(max_int, floats):
 
 
 VALUES = values(64, st.floats(allow_nan=True, allow_infinity=True))
-# a spec takes int() of its sizes, so a float is a size too
+# a float where a spec wants a count must exit 2, naming the field
 SPEC_VALUES = values(8, st.one_of(st.floats(-2.0, 8.0), st.sampled_from([np.nan, np.inf, -np.inf])))
 RING = lmdp_to_json_dict(build_ring(RingSpec(4)))
 SPECS = [

@@ -23,11 +23,8 @@ from subtask_forge.hierarchy import (
     augment_with_subtasks,
     build_hierarchy,
     derive_higher_layer,
-    ground_matrix,
     grounded_subtasks,
     normalized_columns,
-    strip_subtasks,
-    subtask_alpha_max,
 )
 from subtask_forge.lmdp_core import Lmdp, PassiveDynamics, StateSpace
 from test_lmdp_core import random_lmdps
@@ -41,6 +38,14 @@ def fact(D, W=None) -> Factorization:
         normalized_divergence=0.0, seed=0, restarts=1, iterations=0,
         converged=True, best_restart=0,
     )
+
+
+def strip_subtasks(layer) -> Lmdp:
+    """The layer's base LMDP rebuilt from its scaled dynamics."""
+    inv = 1.0 / (1.0 - layer.alpha * layer.d_hat.sum(axis=1))
+    dynamics = PassiveDynamics(layer.P_ii_scaled.multiply(inv[None, :]).tocsc(),
+                               layer.P_bi_scaled.multiply(inv[None, :]).tocsc())
+    return Lmdp(layer.base.space, dynamics, layer.base.r_interior, layer.base.lam)
 
 
 def toy_lmdp() -> Lmdp:
@@ -80,7 +85,10 @@ def test_normalized_columns():
 
 def test_alpha_max_hand_value():
     # heaviest row sum is 3/4, so alpha may approach but not reach 4/3
-    assert subtask_alpha_max(fact(TOY_D)) == pytest.approx(4.0 / 3.0, abs=1e-15)
+    augment_with_subtasks(toy_lmdp(), fact(TOY_D), np.nextafter(4.0 / 3.0, 0.0))
+    with pytest.raises(AlphaRangeError) as info:
+        augment_with_subtasks(toy_lmdp(), fact(TOY_D), 4.0 / 3.0)
+    assert info.value.alpha_max == pytest.approx(4.0 / 3.0, abs=1e-15)
 
 
 def test_augment_hand_oracle():
@@ -184,8 +192,8 @@ def test_derived_columns_sum_to_one(case, k, seed, fraction):
     # each footprint are absorbed with probability 1
     L, _ = case
     D = np.random.default_rng(seed).uniform(1e-3, 1.0, (L.n_interior, k))
-    F = fact(D)
-    layer = augment_with_subtasks(L, F, fraction * subtask_alpha_max(F))
+    alpha_max = 1.0 / normalized_columns(D).sum(axis=1).max()
+    layer = augment_with_subtasks(L, fact(D), fraction * alpha_max)
     top = derive_higher_layer(layer)
     P = np.vstack([top.dynamics.P_ii.toarray(), top.dynamics.P_bi.toarray()])
     assert P.shape == (k + L.n_boundary, k) and np.all(P >= 0)
@@ -266,15 +274,16 @@ def test_build_hierarchy_shapes(small_hierarchy):
 
 def test_grounding_chain(small_hierarchy):
     H = small_hierarchy
-    assert np.array_equal(ground_matrix(H, 0), np.eye(36))
-    assert np.array_equal(ground_matrix(H, 1), H.layers[0].d_hat)
+    G0 = grounded_subtasks(H, 0)
+    assert np.array_equal(G0, H.layers[0].d_hat)
+    assert not np.shares_memory(G0, H.layers[0].d_hat)
     G = grounded_subtasks(H, 1)
+    assert np.array_equal(G, H.layers[0].d_hat @ H.layers[1].d_hat)
     assert G.shape == (36, 2)
     # product of column-stochastic maps stays column-stochastic
     assert np.allclose(G.sum(axis=0), 1.0, atol=1e-12)
-    assert np.array_equal(grounded_subtasks(H, 0), H.layers[0].d_hat)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        ground_matrix(H, 2)
+        grounded_subtasks(H, 2)
 
 
 def test_hierarchy_schedule_validation():

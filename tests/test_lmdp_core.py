@@ -10,11 +10,7 @@ from scipy import sparse
 
 from conftest import equal_dynamics, labels_boundary, labels_interior
 from subtask_forge import lmdp_core
-from subtask_forge.errors import (
-    ConvergenceError,
-    DegenerateNormalizerError,
-    SingularSystemError,
-)
+from subtask_forge.errors import ConvergenceError, SingularSystemError
 from subtask_forge.lmdp_core import (
     Lmdp,
     PassiveDynamics,
@@ -22,12 +18,10 @@ from subtask_forge.lmdp_core import (
     lmdp_from_json_dict,
     lmdp_to_json_dict,
     load_lmdp,
-    optimal_policy,
     save_lmdp,
     solve_finite_exit,
     solve_iterative,
     validate_lmdp,
-    value_from_desirability,
 )
 from subtask_forge.multitask import (
     DEFAULT_Q_FLOOR,
@@ -43,9 +37,6 @@ P_BI = np.array([[0.4, 0.1], [0.1, 0.4]])
 R = np.array([-1.0, -0.5])
 Q = np.array([1.0, 0.5])
 Z_ORACLE = np.array([0.20868768427179646, 0.25178134374954486])
-POLICY_COL0 = np.array(
-    [0.07357588823428848, 0.13315378005058742, 0.705129183746777, 0.08814114796834713]
-)
 
 
 def two_state() -> Lmdp:
@@ -67,35 +58,6 @@ def test_iterative_matches_direct():
     z_dir = solve_finite_exit(L, Q)
     z_it = solve_iterative(L, Q, tol=1e-14)
     np.testing.assert_allclose(z_it, z_dir, rtol=1e-10)
-
-
-def test_value_is_scaled_log():
-    L = two_state()
-    z = solve_finite_exit(L, Q)
-    V = value_from_desirability(z, L.lam)
-    np.testing.assert_allclose(np.exp(V / L.lam), z, rtol=1e-14)
-    with pytest.raises(ValueError):
-        value_from_desirability(np.array([1.0, -1.0]), 1.0)
-    with pytest.raises(ValueError):
-        value_from_desirability(z, 0.0)
-
-
-def test_policy_oracle_and_stochasticity():
-    L = two_state()
-    z = solve_finite_exit(L, Q)
-    a = optimal_policy(L, z, Q)
-    assert a.shape == (4, 2)
-    np.testing.assert_allclose(np.asarray(a.todense())[:, 0], POLICY_COL0, rtol=1e-12)
-    np.testing.assert_allclose(np.asarray(a.sum(axis=0)).reshape(-1), 1.0, atol=1e-12)
-    # support never grows beyond the passive support
-    passive_zero = np.asarray(L.dynamics.stacked().todense()) == 0
-    assert np.all(np.asarray(a.todense())[passive_zero] == 0)
-
-
-def test_policy_zero_normalizer():
-    L = two_state()
-    with pytest.raises(DegenerateNormalizerError):
-        optimal_policy(L, np.zeros(2), np.zeros(2))
 
 
 def test_solve_rejects_bad_q():

@@ -3,9 +3,12 @@
 Each CLI command runs in a fresh process, so everything the CLI imports at
 module level is paid by every command. These tests import the CLI in a clean
 interpreter and check which scipy modules that pulled in, and which ones the
-commands that never touch a sparse matrix pull in when they run.
+commands that never touch a sparse matrix pull in when they run. Source that
+no command runs is compiled by each command all the same, so the last test
+keeps the package free of public functions and classes that nothing uses.
 """
 
+import ast
 import json
 import os
 import re
@@ -135,3 +138,59 @@ print(json.dumps({{"missing": [f"{{owner.__name__}}.{{attr}}"
                               if not hasattr(owner, attr)]}}))
 """)
     assert out == {"missing": []}
+
+
+#: Public names that no command runs, kept as the references the tests
+#: check the package against, each with what it serves.
+TEST_REFERENCES = {
+    "solve_finite_exit": "criteria 1 and 2: the one-task solve",
+    "solve_iterative": "criterion 1: the iterative cross-check of the direct solve",
+    "compose": "criterion 2: the blend law as a library call",
+    "beta_divergence": "test_factorize: the reference divergence of every fit trace",
+    "assignment_purity": "criteria 7 and 8: subtask purity",
+    "top_scoring_states": "criterion 9: the doorway cells among the top scores",
+    "circular_spread": "criterion 10: the spread of the ring subtasks",
+    "grounded_subtasks": "criterion 10: each level's footprints over the base states",
+}
+
+
+def names_in_code(tree: ast.AST) -> set[str]:
+    """Identifiers a module's code names: names, attributes, imported names
+    and whole string constants (as attribute tables hold names). A name
+    mentioned inside a docstring or a comment does not count."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_definition_is_used():
+    # a public top-level def or class must be a click command, be named in
+    # code by another module of the package or by the benchmark, be used in
+    # its own module, or be one of TEST_REFERENCES
+    trees = {p: ast.parse(p.read_text()) for p in sorted((SRC / "subtask_forge").glob("*.py"))}
+    names = {p: names_in_code(tree) for p, tree in trees.items()}
+    bench = set().union(*(names_in_code(ast.parse(p.read_text()))
+                          for p in (ROOT / "perfbench").glob("*.py")))
+    unused, referenced = [], set()
+    for path, tree in trees.items():
+        elsewhere = bench.union(*(names[p] for p in trees if p != path))
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.decorator_list
+                    or node.name in elsewhere or node.name in names[path]):
+                continue
+            if node.name in TEST_REFERENCES:
+                referenced.add(node.name)
+            else:
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
+    # an entry whose name is gone, or is now used, leaves the list
+    assert referenced == set(TEST_REFERENCES)
