@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 import os
 import sys
@@ -118,7 +117,7 @@ def _guarded(fn):
         except KeyError as exc:
             click.echo(f"error: missing required key {exc}", err=True)
             raise SystemExit(2)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(2)
 
@@ -142,6 +141,8 @@ def _nmf_flags(fn):
                      help="Multiplicative update budget per restart."),
         click.option("--tol", type=float, default=_OPT.tol, show_default=True,
                      help="Relative improvement below which a restart stops."),
+        click.option("--beta", type=float, default=1.0, show_default=True,
+                     help="Beta-divergence parameter (0 IS, 1 KL, 2 Frobenius)."),
     ):
         fn = deco(fn)
     return fn
@@ -210,8 +211,6 @@ def cmd_solve(domain_path, out_path, q_floor):
 @click.argument("z_path", type=_IN_FILE)
 @click.argument("out_dir", type=_OUT_DIR)
 @click.option("--k", type=int, required=True, help="Number of subtasks.")
-@click.option("--beta", type=float, default=1.0, show_default=True,
-              help="Beta-divergence parameter (0 IS, 1 KL, 2 Frobenius).")
 @_nmf_flags
 @_guarded
 def cmd_factor(z_path, out_dir, k, beta, seed, restarts, max_iter, tol):
@@ -233,8 +232,6 @@ def cmd_factor(z_path, out_dir, k, beta, seed, restarts, max_iter, tol):
 @main.command("select_k")
 @click.argument("z_path", type=_IN_FILE)
 @click.argument("out_path", type=_OUT_FILE)
-@click.option("--beta", type=float, default=1.0, show_default=True,
-              help="Beta-divergence parameter.")
 @click.option("--kmax", type=int, required=True,
               help="Largest rank to evaluate (at least 3).")
 @_nmf_flags
@@ -258,8 +255,6 @@ def cmd_select_k(z_path, out_path, beta, kmax, seed, restarts, max_iter, tol):
               help="Comma-separated subtask counts per level, e.g. 16,4.")
 @click.option("--alphas", default=None,
               help="Comma-separated subtask weights per level [default: 0.1 each].")
-@click.option("--beta", type=float, default=1.0, show_default=True,
-              help="Beta-divergence parameter.")
 @_nmf_flags
 @_guarded
 def cmd_hierarchy(domain_path, out_dir, ks, alphas, beta, seed, restarts,
@@ -331,12 +326,8 @@ def cmd_analyze(fact_dir, domain_path, out_path, mode, labels, against,
         write_boundary_scores(out_path, g)
         click.echo(f"wrote {out_path}: max g {g.max():.6g} at state {int(g.argmax())}")
     elif mode == "purity":
-        kind = labels or _LABELS.get(cfg.kind, [None])[0]
-        if kind is None:
-            raise ValueError(f"no default region labels for {cfg.kind} domains; "
-                             "pass --labels")
-        run.parameters["labels"] = kind
-        report = purity_report(F, region_labels(cfg, kind))
+        report = purity_report(F, region_labels(cfg, labels))
+        run.parameters["labels"] = labels or _LABELS[cfg.kind][0]
         fileio.atomic_write_json(out_path, report)
         click.echo(f"purity = {report['purity']:.4f}")
     else:

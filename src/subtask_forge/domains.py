@@ -13,7 +13,7 @@ in-taxi block last.
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -372,15 +372,21 @@ def build_ring(spec: RingSpec, r_step=DEFAULT_R_STEP, lam=DEFAULT_LAMBDA,
 
 @dataclass(frozen=True)
 class DomainConfig:
-    """Parsed form of the domain-spec JSON {"type", "params", "r_step", "lambda"}."""
+    """Parsed form of the domain-spec JSON {"type", "params", "r_step", "lambda"}.
+
+    ``spec`` is built from every param but ``twin_weight``, which is None
+    (the uniform exit share) unless the params set it.
+    """
 
     kind: str
-    params: dict = field(default_factory=dict)
+    spec: RoomsSpec | TaxiSpec | RingSpec
     r_step: float = DEFAULT_R_STEP
     lam: float = DEFAULT_LAMBDA
+    twin_weight: float | None = None
 
 
 def parse_domain_config(obj) -> DomainConfig:
+    """Check a domain-spec JSON object and build its spec; ValueError if invalid."""
     if not isinstance(obj, dict):
         raise ValueError("domain config must be a JSON object")
     kind = obj.get("type")
@@ -397,55 +403,49 @@ def parse_domain_config(obj) -> DomainConfig:
     obj = {"r_step": DEFAULT_R_STEP, "lambda": DEFAULT_LAMBDA, **obj}
     r_step, lam = (_json_field(obj, key, _is_number, "a number", "domain config")
                    for key in ("r_step", "lambda"))
-    # NaN, the infinities and integers past the float range all fail this
+    # a number built in-process may still be NaN or infinite
     if not (abs(r_step) <= sys.float_info.max and abs(lam) <= sys.float_info.max):
         raise ValueError(f"fields 'r_step' and 'lambda' must be finite, "
                          f"got {r_step!r:.40}, {lam!r:.40}")
     r_step, lam = float(r_step), float(lam)
     if not lam > 0:
         raise ValueError(f"field 'lambda' must be positive, got {lam}")
-    return DomainConfig(kind=kind, params=dict(params), r_step=r_step, lam=lam)
-
-
-def domain_spec(cfg: DomainConfig):
-    """``(spec, twin_weight)`` for a config; the spec's fields are its parameters.
-
-    ``twin_weight`` is None (the uniform exit share) unless the params set it.
-    """
-    spec_cls = DOMAINS[cfg.kind][0]
-    params = dict(cfg.params)
+    spec_cls = DOMAINS[kind][0]
+    params = dict(params)
     tw = params.pop("twin_weight", None)
     if tw is not None and not _is_number(tw):
-        raise ValueError(f"{cfg.kind} spec: field 'twin_weight' must be a number, "
+        raise ValueError(f"{kind} spec: field 'twin_weight' must be a number, "
                          f"got {tw!r:.40}")
     defaults = {f.name: f.default for f in fields(spec_cls)}
     for key in params:
         if key not in defaults:
-            raise ValueError(f"unknown {cfg.kind} parameter {key!r}")
+            raise ValueError(f"unknown {kind} parameter {key!r}")
     for name, default in defaults.items():
         if default is MISSING and name not in params:
-            raise ValueError(f"{cfg.kind} spec is missing parameter {name!r}")
-    return spec_cls(**params), tw
+            raise ValueError(f"{kind} spec is missing parameter {name!r}")
+    return DomainConfig(kind, spec_cls(**params), r_step, lam, tw)
 
 
 def build_domain(cfg: DomainConfig) -> Lmdp:
-    spec, twin_weight = domain_spec(cfg)
-    return DOMAINS[cfg.kind][1](spec, cfg.r_step, cfg.lam, twin_weight)
+    return DOMAINS[cfg.kind][1](cfg.spec, cfg.r_step, cfg.lam, cfg.twin_weight)
 
 
-def region_labels(cfg: DomainConfig, kind: str) -> np.ndarray:
+def region_labels(cfg: DomainConfig, kind: str | None = None) -> np.ndarray:
     """Ground-truth region label per interior state for purity analysis.
 
-    ``kind`` is one of the domain's label kinds in :data:`DOMAINS`.
+    ``kind`` is one of the domain's label kinds in :data:`DOMAINS`; None is
+    the first, its default.
     """
-    spec, _ = domain_spec(cfg)
     labelers = DOMAINS[cfg.kind][2]
     if not labelers:
-        raise ValueError(f"no region labels defined for {cfg.kind!r} domains")
+        having = " or ".join(k for k, (_, _, by) in DOMAINS.items() if by)
+        raise ValueError(f"no region labels defined for {cfg.kind} domains; "
+                         f"pass --labels with a {having} domain")
+    kind = kind or next(iter(labelers))
     if kind not in labelers:
         raise ValueError(f"{cfg.kind} domains support labels "
                          f"{' or '.join(map(repr, labelers))}, got {kind!r}")
-    return labelers[kind](spec)
+    return labelers[kind](cfg.spec)
 
 
 #: kind -> (spec class, builder, {label kind: labeler}). The first label

@@ -236,34 +236,30 @@ def _write_part(fd: int, M, start: int, stop: int) -> bool:
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
+    """The matrix of a matrix CSV. Every failure and its message are decided
+    by the parse in this process; :func:`_read_split` only ever speeds up a
+    file it would accept."""
     path = Path(path)
-    body = _read_split(path) if _spare_cpu() else None
-    return body if body is not None else _read_serial(path)
-
-
-def _header(line: str) -> tuple[int, int]:
-    """``rows, cols`` of a header line without its line end; ValueError if bad."""
-    rows, cols = map(int, line.split(","))
-    if min(rows, cols) < 0:
-        raise ValueError("negative size")
-    return rows, cols
-
-
-def _read_serial(path: Path) -> np.ndarray:
-    """The reader of record: every failure and its message are decided here."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header:
             raise ValueError(f"{path}: empty matrix CSV")
         header = header.rstrip("\n")
         try:
-            rows, cols = _header(header)
+            rows, cols = map(int, header.split(","))
+            if min(rows, cols) < 0:
+                raise ValueError("negative size")
         except ValueError:
             raise ValueError(f"{path}: bad header {header!r}, expected 'rows,cols'") from None
-        try:
-            body = _parse(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {_ragged_row(path, cols) or exc}") from None
+        # each entry takes a value and a separator, at least 2 bytes: a
+        # header that declares more than the file can hold is not allocated
+        split = rows >= 2 and _FORK_MIN_ENTRIES <= rows * cols <= os.fstat(fh.fileno()).st_size // 2
+        body = _read_split(path, rows, cols) if split and _spare_cpu() else None
+        if body is None:
+            try:
+                body = _parse(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {_ragged_row(path, cols) or exc}") from None
     if body.shape[0] != rows:
         raise ValueError(f"{path}: header declares {rows} rows, file has {body.shape[0]}")
     if rows == 0:
@@ -281,19 +277,14 @@ def _parse(text, skip: int = 0) -> np.ndarray:
         return np.loadtxt(text, delimiter=",", comments=None, ndmin=2, skiprows=skip)
 
 
-#: Longest header line the split reader looks at; a longer one is left to
-#: the serial reader.
-_HEADER_BYTES = 64
+def _read_split(path: Path, rows: int, cols: int) -> np.ndarray | None:
+    """The body of a ``rows`` x ``cols`` matrix parsed on two CPUs, or None
+    where only the serial parse may decide.
 
-
-def _read_split(path: Path) -> np.ndarray | None:
-    """The body parsed on two CPUs, or None where only the serial reader may decide.
-
-    Only a matrix of at least ``_FORK_MIN_ENTRIES`` entries and two rows, by
-    its header, is split, at the writer's row ``half = (rows + 1) // 2``.
+    The body is split at the writer's row ``half = (rows + 1) // 2``.
     Through :func:`split_work`, this process parses the ``half`` lines after
     the header while a forked child parses every line after those, each as
-    the serial reader reads text. Each half is accepted only if it has
+    the serial parse reads text. Each half is accepted only if it has
     exactly the shape the header gives it, ``(half, cols)`` and ``(rows -
     half, cols)``: an empty line among the first ``half`` leaves this
     process short, so such a file is read serially. Anything else, a failed
@@ -301,20 +292,6 @@ def _read_split(path: Path) -> np.ndarray | None:
     process copies its half in, then the child's from a shared anonymous
     mapping made before the fork; only whether it fitted is pickled back.
     """
-    with open(path, "rb") as fh:
-        line = fh.readline(_HEADER_BYTES)
-        text = line.removesuffix(b"\n").removesuffix(b"\r")
-        if not line.endswith(b"\n") or b"\r" in text:
-            return None
-        try:
-            rows, cols = _header(text.decode("utf-8"))
-        except ValueError:
-            return None
-        end = fh.seek(0, os.SEEK_END)
-        # each entry takes a value and a separator, at least 2 bytes: a
-        # header that declares more than the body can hold is not allocated
-        if rows < 2 or not _FORK_MIN_ENTRIES <= rows * cols <= (end - len(line) + 1) // 2:
-            return None
     half = (rows + 1) // 2
     out = np.empty((rows, cols))
 
@@ -334,7 +311,7 @@ def _read_split(path: Path) -> np.ndarray | None:
     with mmap.mmap(-1, 8 * (rows - half) * cols) as shared:
         try:
             _, sent = split_work(first, second, lambda: False)
-        except Exception:  # a failed half, whatever the error: the serial reader decides
+        except Exception:  # a failed half, whatever the error: the serial parse decides
             return None
         if not sent:
             return None
@@ -344,7 +321,7 @@ def _read_split(path: Path) -> np.ndarray | None:
 
 def _parse_rows(path: Path, skip: int, lines: int | None = None) -> np.ndarray:
     """Rows of the ``lines`` lines (default: all) after the first ``skip`` of
-    ``path``, read as the serial reader reads text.
+    ``path``, read as the serial parse reads text.
 
     Lines, not rows, bound both ends: ``np.loadtxt``'s ``max_rows`` would
     not count empty lines, so a header that overstates the rows by the empty

@@ -24,7 +24,7 @@ from .factorize import (
     nmf,
     write_factorization_files,
 )
-from .lmdp_core import Lmdp, PassiveDynamics, StateSpace, save_lmdp
+from .lmdp_core import Lmdp, PassiveDynamics, StateSpace, _lu_of_i_minus, save_lmdp
 from .multitask import solve_task_basis
 from . import fileio
 
@@ -111,16 +111,9 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
     n, k = layer.base.n_interior, layer.k
     n_b = layer.base.n_boundary
     from scipy import sparse
-    from scipy.sparse.linalg import splu  # slow to import; deferred to its caller
 
-    M = (sparse.identity(n, format="csc") - layer.P_ii_scaled.T).tocsc()
-
-    try:
-        lu = splu(M)
-    except RuntimeError as exc:
-        raise SingularSystemError(
-            "absorption system is singular; augmented dynamics leak probability"
-        ) from exc
+    lu = _lu_of_i_minus(layer.P_ii_scaled.T, lambda: (
+        "absorption system is singular; augmented dynamics leak probability"))
     absorb_now = np.hstack([layer.P_t.T, layer.P_bi_scaled.T.toarray()])
     hit = lu.solve(absorb_now)
     P_next = hit.T @ layer.d_hat

@@ -15,6 +15,7 @@ which is linear in ``z`` and solved here by a direct sparse factorization.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -173,6 +174,21 @@ def validate_lmdp(L: Lmdp) -> ValidationReport:
     return ValidationReport(ok=not v, violations=tuple(v))
 
 
+def _lu_of_i_minus(T, singular):
+    """Sparse LU factors of ``I - T``, for a square sparse T.
+
+    A singular system raises SingularSystemError with the message
+    ``singular()``, built only then.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu  # slow to import; deferred to its caller
+
+    try:
+        return splu((sparse.identity(T.shape[0], format="csc") - T).tocsc())
+    except RuntimeError as exc:
+        raise SingularSystemError(singular()) from exc
+
+
 class _FiniteExitSystem:
     """Shared sparse factorization of (I - diag(g) P_ii^T) for one LMDP."""
 
@@ -184,20 +200,11 @@ class _FiniteExitSystem:
             raise ValueError(
                 f"P_ii has shape {L.dynamics.P_ii.shape}, expected ({n}, {n})"
             )
-        from scipy import sparse
-        from scipy.sparse.linalg import splu  # slow to import; deferred to its caller
-
         self.M = L.dynamics.P_ii.T.multiply(self.g[:, None]).tocsc()
-        A = (sparse.identity(n, format="csc") - self.M).tocsc()
-
-        try:
-            self.lu = splu(A)
-        except RuntimeError as exc:
-            raise SingularSystemError(
-                "desirability system is singular "
-                f"(estimated spectral radius {self._spectral_radius():.6g}); "
-                "check that every interior state can reach a boundary state"
-            ) from exc
+        self.lu = _lu_of_i_minus(self.M, lambda: (
+            "desirability system is singular "
+            f"(estimated spectral radius {self._spectral_radius():.6g}); "
+            "check that every interior state can reach a boundary state"))
 
     def _spectral_radius(self) -> float:
         v = np.full(self.L.n_interior, 1.0 / max(self.L.n_interior, 1))
@@ -332,7 +339,9 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that a float holds: not true or false, nor an integer
+    past the float range. A float passes even if NaN or infinite."""
+    return isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max
 
 
 def _is_str_list(v) -> bool:
@@ -360,7 +369,7 @@ def _from_triplets(obj, shape: tuple[int, int], what: str) -> sparse.csc_array:
         and _is_number(t[2]) for t in trips
     ):
         raise ValueError(f"{what}: every triplet must be [row, col, value] with "
-                         "integer row and col")
+                         "integer row and col and a number value")
     rows = [t[0] for t in trips]
     cols = [t[1] for t in trips]
     vals = [float(t[2]) for t in trips]

@@ -18,7 +18,6 @@ from .domains import (
     RingSpec,
     RoomsSpec,
     TaxiSpec,
-    domain_spec,
 )
 from . import fileio
 
@@ -121,8 +120,7 @@ _DRAWERS = {RoomsSpec: render_rooms_svg, TaxiSpec: render_taxi_svg,
 
 
 def render_column_svg(cfg: DomainConfig, column) -> str:
-    spec, _ = domain_spec(cfg)
-    return _DRAWERS[type(spec)](spec, column)
+    return _DRAWERS[type(cfg.spec)](cfg.spec, column)
 
 
 def render_factorization_files(dir_path, cfg: DomainConfig, D) -> list[str]:

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from conftest import benchmark_rooms, benchmark_taxi
 from subtask_forge import fileio, lmdp_core
 from subtask_forge.cli import main
-from subtask_forge.domains import RingSpec, build_ring, domain_spec, parse_domain_config
+from subtask_forge.domains import RingSpec, build_ring, parse_domain_config
 from subtask_forge.fileio import read_json, write_matrix_csv
 from subtask_forge.lmdp_core import lmdp_to_json_dict, load_lmdp, save_lmdp
 from subtask_forge.multitask import solve_task_basis
@@ -154,6 +154,17 @@ def test_analyze_compare_identical_runs(ws, tmp_path):
     assert report["distance"] <= 1e-12 and report["equivalent"] is True
 
 
+def test_analyze_compare_rejects_an_invalid_spec(ws, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**ROOMS_SPEC, "params": {**ROOMS_SPEC["params"], "bogus": 1}}))
+    out = tmp_path / "cmp.json"
+    result = runner.invoke(main, ["analyze", str(ws["fact"]), str(bad), str(out),
+                                  "--mode", "compare", "--against", str(ws["fact"])])
+    assert result.exit_code == 2
+    assert "unknown rooms parameter 'bogus'" in result.stderr
+    assert not out.exists()
+
+
 def test_analyze_compare_requires_against(ws, tmp_path):
     result = runner.invoke(main, ["analyze", str(ws["fact"]), str(ws["spec"]),
                                   str(tmp_path / "cmp.json"),
@@ -285,7 +296,7 @@ def test_invalid_spec_exits_2(ws, tmp_path):
 def test_spec_parameter_of_wrong_type_exits_2(tmp_path, kind, params):
     spec = {"type": kind, "params": params}
     with pytest.raises(ValueError, match=f"^{kind} spec:"):
-        domain_spec(parse_domain_config(spec))
+        parse_domain_config(spec)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spec))
     result = runner.invoke(main, ["build", str(bad), str(tmp_path / "d.json")])
@@ -379,6 +390,14 @@ def _bool_index(d):
     d["P_ii"]["triplets"][0][0] = True
 
 
+def _huge_rewards(d):
+    d["r_interior"][1] = 10 ** 400
+
+
+def _huge_dynamics(d):
+    d["P_ii"]["triplets"][0][2] = 10 ** 400
+
+
 def _wrong_type(field, value):
     return pytest.param(lambda d: d.update({field: value}),
                         f"LMDP JSON field '{field}'", id=f"{field}={value}")
@@ -402,6 +421,12 @@ def _wrong_type(field, value):
     _wrong_type("lambda", True),
     _wrong_type("labels", "abcdefgh"),
     _wrong_type("r_interior", [True, False, True, True]),
+    # an integer past the float range is not a number
+    pytest.param(lambda d: d.update({"lambda": 10 ** 400}), "field 'lambda' must be a number",
+                 id="lambda=10**400"),
+    pytest.param(_huge_rewards, "field 'r_interior' must be a list of numbers",
+                 id="r_interior=10**400"),
+    pytest.param(_huge_dynamics, "P_ii: .*a number value", id="P_ii=10**400"),
 ])
 def test_solve_rejects_invalid_lmdp(tmp_path, corrupt, match):
     d = lmdp_to_json_dict(build_ring(RingSpec(4)))

@@ -236,8 +236,7 @@ def test_parse_domain_config_roundtrip():
         "r_step": -0.5,
         "lambda": 2.0,
     })
-    assert cfg == DomainConfig("rooms", {"room_rows": 2, "room_cols": 2,
-                                         "room_size": 3}, -0.5, 2.0)
+    assert cfg == DomainConfig("rooms", RoomsSpec(2, 2, 3), -0.5, 2.0)
     L = build_domain(cfg)
     assert L.n_interior == 36
     assert L.lam == 2.0

@@ -358,24 +358,24 @@ def test_split_reader_matches_one_cpu_on_each_syntax_case(tmp_path, two_cpus, mo
 
 def test_split_reader_handles_cr_line_ends(tmp_path, two_cpus, monkeypatch):
     path = tmp_path / "m.csv"
-    # CR-only throughout: no newline to split at, so one process reads it
+    # CR-only throughout: the header and both halves read it as newlines
     path.write_bytes(padded("2,2\n1.0,2.0\n3.0,4.0\n").replace(b"\n", b"\r"))
     expected = one_cpu_read(monkeypatch, path)
     assert expected.shape == (PAD_ROWS + 2, 2)
     assert_same_read(split_read(path), expected)
-    assert two_cpus == []
+    assert len(two_cpus) == 1
     # CR-only rows in the child's half only: they count as rows there too
     path.write_bytes(padded("3,2\n1.0,2.0\r3.0,4.0\r5.0,6.0\n"))
     expected = one_cpu_read(monkeypatch, path)
     assert expected.shape == (PAD_ROWS + 3, 2)
     assert_same_read(split_read(path), expected)
-    assert len(two_cpus) == 1
-    # a CR inside the header line ends the header there for the serial reader
+    assert len(two_cpus) == 2
+    # a CR inside the header line ends the header there
     path.write_bytes(f"{PAD_ROWS}\r,2\n".encode() + padded("0,2\n").partition(b"\n")[2])
     expected = one_cpu_read(monkeypatch, path)
     assert expected == f"{path}: bad header '{PAD_ROWS}', expected 'rows,cols'"
     assert split_read(path) == expected
-    assert len(two_cpus) == 1  # no split: the header line is not plain
+    assert len(two_cpus) == 2  # no split: the header is bad
 
 
 @pytest.mark.parametrize("off_by", [-1, 1])

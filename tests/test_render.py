@@ -53,14 +53,14 @@ def test_normalization_and_validation():
 
 
 def test_render_column_dispatches_on_kind():
-    cfg = DomainConfig("rooms", {"room_rows": 2, "room_cols": 2, "room_size": 3})
+    cfg = DomainConfig("rooms", RoomsSpec(2, 2, 3))
     assert render_column_svg(cfg, np.ones(36)).count("<rect") == 36
-    cfg = DomainConfig("ring", {"n": 5})
+    cfg = DomainConfig("ring", RingSpec(5))
     assert render_column_svg(cfg, np.ones(5)).count("<rect") == 5
 
 
 def test_render_factorization_files(tmp_path):
-    cfg = DomainConfig("ring", {"n": 5})
+    cfg = DomainConfig("ring", RingSpec(5))
     D = np.abs(np.random.default_rng(0).standard_normal((5, 3)))
     names = render_factorization_files(tmp_path, cfg, D)
     assert names == ["subtask_00.svg", "subtask_01.svg", "subtask_02.svg"]
