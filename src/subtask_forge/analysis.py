@@ -71,10 +71,10 @@ def boundary_score(F: Factorization, L: Lmdp) -> np.ndarray:
             f"domain has {L.n_interior} interior and {L.n_boundary} boundary "
             "states; boundary scores need one boundary twin per interior state"
         )
-    coo = L.dynamics.P_ii.tocoo()
-    diffs = W[:, coo.row] - W[:, coo.col]
-    contrib = coo.data * np.square(diffs).sum(axis=0)
-    g = np.bincount(coo.col, weights=contrib, minlength=L.n_interior)
+    P = L.dynamics.ii
+    diffs = W[:, P.rows] - W[:, P.cols]
+    contrib = P.vals * np.square(diffs).sum(axis=0)
+    g = np.bincount(P.cols, weights=contrib, minlength=L.n_interior)
     g.setflags(write=False)
     return g
 

@@ -17,7 +17,15 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .lmdp_core import Lmdp, PassiveDynamics, StateSpace, _is_int, _is_number, _json_field
+from .lmdp_core import (
+    Lmdp,
+    PassiveDynamics,
+    StateSpace,
+    Triplets,
+    _is_int,
+    _is_number,
+    _json_field,
+)
 
 DEFAULT_R_STEP = -1.0
 DEFAULT_LAMBDA = 1.0
@@ -175,6 +183,12 @@ class RingSpec:
 # ---------------------------------------------------------------------------
 
 
+def _check_twin_weight(twin_weight, where: str = "") -> None:
+    """Raise ValueError unless the twin weight is None or lies in (0, 1)."""
+    if twin_weight is not None and not 0.0 < twin_weight < 1.0:
+        raise ValueError(f"{where}field 'twin_weight' must lie in (0, 1), got {twin_weight}")
+
+
 def _uniform_twin_lmdp(successors, labels, r_step, lam, twin_weight=None) -> Lmdp:
     """Assemble an Lmdp from interior successor lists plus per-state twins.
 
@@ -183,8 +197,7 @@ def _uniform_twin_lmdp(successors, labels, r_step, lam, twin_weight=None) -> Lmd
     and the neighbors split the remainder evenly.
     """
     n = len(successors)
-    if twin_weight is not None and not 0.0 < twin_weight < 1.0:
-        raise ValueError(f"twin_weight must lie in (0, 1), got {twin_weight}")
+    _check_twin_weight(twin_weight)
     rows, cols, vals = [], [], []
     twin_p = np.empty(n)
     for s, nbrs in enumerate(successors):
@@ -200,10 +213,8 @@ def _uniform_twin_lmdp(successors, labels, r_step, lam, twin_weight=None) -> Lmd
             rows.append(i)
             cols.append(s)
             vals.append(p_nbr)
-    from scipy import sparse  # slow to import; only LMDP commands need it
-
-    P_ii = sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsc()
-    P_bi = sparse.dia_array((twin_p[None, :], [0]), shape=(n, n)).tocsc()
+    P_ii = Triplets.canonical((n, n), rows, cols, vals)
+    P_bi = Triplets.canonical((n, n), np.arange(n), np.arange(n), twin_p)
     all_labels = tuple(labels) + tuple(f"exit:{x}" for x in labels)
     return Lmdp(
         space=StateSpace(n, n, all_labels),
@@ -416,6 +427,7 @@ def parse_domain_config(obj) -> DomainConfig:
     if tw is not None and not _is_number(tw):
         raise ValueError(f"{kind} spec: field 'twin_weight' must be a number, "
                          f"got {tw!r:.40}")
+    _check_twin_weight(tw, f"{kind} spec: ")
     defaults = {f.name: f.default for f in fields(spec_cls)}
     for key in params:
         if key not in defaults:

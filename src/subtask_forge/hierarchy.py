@@ -47,7 +47,11 @@ def normalized_columns(D) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SubtaskLayer:
-    """One level of the stack: base LMDP plus subtask-augmented dynamics."""
+    """One level of the stack: base LMDP plus subtask-augmented dynamics.
+
+    ``scaled`` holds the base dynamics with each column scaled down by its
+    subtask mass; ``P_ii_scaled`` and ``P_bi_scaled`` are its scipy views.
+    """
 
     level: int
     base: Lmdp
@@ -55,12 +59,19 @@ class SubtaskLayer:
     alpha: float
     d_hat: np.ndarray
     P_t: np.ndarray
-    P_ii_scaled: sparse.csc_array
-    P_bi_scaled: sparse.csc_array
+    scaled: PassiveDynamics
 
     @property
     def k(self) -> int:
         return self.P_t.shape[0]
+
+    @property
+    def P_ii_scaled(self) -> sparse.csc_array:
+        return self.scaled.P_ii
+
+    @property
+    def P_bi_scaled(self) -> sparse.csc_array:
+        return self.scaled.P_bi
 
 
 def augment_with_subtasks(L: Lmdp, F: Factorization, alpha: float) -> SubtaskLayer:
@@ -87,12 +98,12 @@ def augment_with_subtasks(L: Lmdp, F: Factorization, alpha: float) -> SubtaskLay
         )
     scale = 1.0 - alpha * mass
     P_t = alpha * d_hat.T
-    P_ii_scaled = L.dynamics.P_ii.multiply(scale[None, :]).tocsc()
-    P_bi_scaled = L.dynamics.P_bi.multiply(scale[None, :]).tocsc()
+    scaled = PassiveDynamics(L.dynamics.ii.scale_columns(scale),
+                             L.dynamics.bi.scale_columns(scale))
     P_t.setflags(write=False)
     return SubtaskLayer(
         level=0, base=L, factorization=F, alpha=alpha, d_hat=d_hat, P_t=P_t,
-        P_ii_scaled=P_ii_scaled, P_bi_scaled=P_bi_scaled,
+        scaled=scaled,
     )
 
 
@@ -110,12 +121,9 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
         raise ValueError("deriving a higher layer needs alpha > 0")
     n, k = layer.base.n_interior, layer.k
     n_b = layer.base.n_boundary
-    from scipy import sparse
-
-    lu = _lu_of_i_minus(layer.P_ii_scaled.T, lambda: (
+    _, solve = _lu_of_i_minus(layer.scaled.ii, lambda: (
         "absorption system is singular; augmented dynamics leak probability"))
-    absorb_now = np.hstack([layer.P_t.T, layer.P_bi_scaled.T.toarray()])
-    hit = lu.solve(absorb_now)
+    hit = solve(np.hstack([layer.P_t.T, layer.scaled.bi.toarray().T]))
     P_next = hit.T @ layer.d_hat
     sums = P_next.sum(axis=0)
     if np.any(np.abs(sums - 1.0) > ABSORPTION_TOL) or not np.all(np.isfinite(P_next)):
@@ -132,10 +140,7 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
         labels = tuple(f"subtask({t})" for t in range(k)) + base_labels[n:]
     return Lmdp(
         space=StateSpace(k, n_b, labels),
-        dynamics=PassiveDynamics(
-            sparse.csc_array(P_next[:k, :]),
-            sparse.csc_array(P_next[k:, :]),
-        ),
+        dynamics=PassiveDynamics(P_next[:k, :], P_next[k:, :]),
         r_interior=layer.d_hat.T @ layer.base.r_interior,
         lam=layer.base.lam,
     )

@@ -10,11 +10,16 @@ solves the fixed point
 
     z(s) = exp(r_i(s)/lam) * (sum_i P_ii[i, s] z(i) + sum_b P_bi[b, s] q_b(b))
 
-which is linear in ``z`` and solved here by a direct sparse factorization.
+which is linear in ``z`` and solved here directly: by a dense inverse from
+numpy up to ``DENSE_MAX_STATES`` interior states, by scipy's sparse LU above.
+The dynamics are held as numpy coordinate arrays (:class:`Triplets`), so at
+the paper's sizes an LMDP is built, read, written, validated and solved
+without importing scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -32,6 +37,11 @@ MAX_REPORTED = 8
 #: Entries in one block of columns of a multi-column solve (40 columns at
 #: 1600 interior states): its scratch arrays are a few blocks in size.
 SOLVE_BLOCK_ENTRIES = 2 ** 16
+#: Most interior states whose system is inverted dense by numpy; a larger one
+#: is factored by scipy's sparse LU. The two paths tie at 900 states in a
+#: ladder of ``solve`` runs on rooms bases (CHANGES.md); above it the dense
+#: path holds more memory, and at 1600 it also takes longer.
+DENSE_MAX_STATES = 900
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -42,17 +52,92 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_csc(m, what: str) -> sparse.csc_array:
-    from scipy import sparse  # slow to import; only LMDP commands need it
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """A sparse matrix as read-only coordinate arrays in CSC order: sorted by
+    column, then row, with no (row, col) pair twice."""
 
-    try:
-        out = sparse.csc_array(m, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: cannot interpret as a sparse matrix: {exc}") from exc
-    if out.ndim != 2:
-        raise ValueError(f"{what}: expected a 2-D matrix, got ndim={out.ndim}")
-    out.data.setflags(write=False)
-    return out
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def canonical(cls, shape, rows, cols, vals) -> Triplets:
+        """Sort the entries into CSC order and sum duplicates, as scipy does."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        order = np.lexsort((rows, cols))
+        rows, cols, vals = rows[order], cols[order], np.asarray(vals, dtype=float)[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not first.all():
+            vals = np.bincount(np.cumsum(first) - 1, weights=vals)
+            rows, cols = rows[first], cols[first]
+        return cls(tuple(int(x) for x in shape), _read_only(rows), _read_only(cols),
+                   _read_only(vals))
+
+    @classmethod
+    def of(cls, m, what: str) -> Triplets:
+        """From Triplets, a scipy sparse matrix or anything numpy reads as a
+        2-D array; the zeros of a dense input are dropped."""
+        if isinstance(m, Triplets):
+            return m
+        if hasattr(m, "tocoo"):  # scipy sparse, read without importing scipy
+            if m.ndim != 2:
+                raise ValueError(f"{what}: expected a 2-D matrix, got ndim={m.ndim}")
+            coo = m.tocoo()
+            return cls.canonical(coo.shape, coo.row, coo.col, coo.data)
+        try:
+            a = np.asarray(m, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what}: cannot interpret as a sparse matrix: {exc}") from exc
+        if a.ndim != 2:
+            raise ValueError(f"{what}: expected a 2-D matrix, got ndim={a.ndim}")
+        cols, rows = np.nonzero(a.T)
+        return cls.canonical(a.shape, rows, cols, a[rows, cols])
+
+    def scale_columns(self, scale: np.ndarray) -> Triplets:
+        """Column c multiplied by ``scale[c]``; explicit zeros stay stored."""
+        return Triplets(self.shape, self.rows, self.cols,
+                        _read_only(self.vals * scale[self.cols]))
+
+    @functools.cached_property
+    def _passes(self) -> list[np.ndarray]:
+        """Entry indices grouped by their place in their column: a pass holds
+        at most one entry of each column."""
+        first = np.flatnonzero(np.diff(self.cols, prepend=-1))
+        place = np.arange(self.cols.size) - np.repeat(
+            first, np.diff(first, append=self.cols.size))
+        return [np.flatnonzero(place == p) for p in range(place.max(initial=-1) + 1)]
+
+    def t_dot(self, X: np.ndarray) -> np.ndarray:
+        """``P^T @ X`` for a vector or a matrix X with ``shape[0]`` rows,
+        summed in scipy's order: each column's entries top to bottom."""
+        out = np.zeros((self.shape[1],) + X.shape[1:])
+        for p, k in enumerate(self._passes):
+            terms = X[self.rows[k]]
+            terms *= self.vals[k].reshape((-1,) + (1,) * (X.ndim - 1))
+            if p:
+                out[self.cols[k]] += terms
+            else:  # out is still 0 there
+                out[self.cols[k]] = terms
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def csc(self) -> sparse.csc_array:
+        """A scipy CSC matrix of these entries; its data is read-only."""
+        from scipy import sparse  # slow to import; only the views need it
+
+        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.cols, minlength=self.shape[1]), out=indptr[1:])
+        # scipy may sort or prune the index arrays in place: hand it a copy
+        out = sparse.csc_array((self.vals, self.rows.copy(), indptr), shape=self.shape)
+        out.data.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -68,21 +153,27 @@ class StateSpace:
             object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
 
 
-@dataclass(frozen=True, eq=False)
 class PassiveDynamics:
     """Column-stochastic passive dynamics split into interior and boundary rows.
 
     ``P_ii[i, s]`` is the probability of moving from interior state ``s`` to
     interior state ``i``; ``P_bi[b, s]`` the probability of exiting to
-    boundary state ``b``.
+    boundary state ``b``. They are held as :class:`Triplets` ``ii`` and
+    ``bi``; ``P_ii`` and ``P_bi`` are read-only scipy CSC views of them,
+    built (and scipy imported) on first access.
     """
 
-    P_ii: sparse.csc_array
-    P_bi: sparse.csc_array
+    def __init__(self, P_ii, P_bi):
+        self.ii = Triplets.of(P_ii, "P_ii")
+        self.bi = Triplets.of(P_bi, "P_bi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "P_ii", _as_csc(self.P_ii, "P_ii"))
-        object.__setattr__(self, "P_bi", _as_csc(self.P_bi, "P_bi"))
+    @functools.cached_property
+    def P_ii(self) -> sparse.csc_array:
+        return self.ii.csc()
+
+    @functools.cached_property
+    def P_bi(self) -> sparse.csc_array:
+        return self.bi.csc()
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,24 +237,22 @@ def validate_lmdp(L: Lmdp) -> ValidationReport:
         elif not np.all(np.isfinite(L.r_interior)):
             v.append("r_interior contains non-finite entries")
 
-        P_ii, P_bi = L.dynamics.P_ii, L.dynamics.P_bi
+        P_ii, P_bi = L.dynamics.ii, L.dynamics.bi
         if P_ii.shape != (n_i, n_i):
             v.append(f"P_ii has shape {P_ii.shape}, expected ({n_i}, {n_i})")
         if P_bi.shape != (n_b, n_i):
             v.append(f"P_bi has shape {P_bi.shape}, expected ({n_b}, {n_i})")
         for name, m in (("P_ii", P_ii), ("P_bi", P_bi)):
-            if m.nnz and m.data.size:
-                if np.isnan(m.data).any():  # NaN slips past every comparison below
+            if m.vals.size:
+                if np.isnan(m.vals).any():  # NaN slips past every comparison below
                     v.append(f"{name} has a NaN entry")
-                lo, hi = m.data.min(), m.data.max()
+                lo, hi = m.vals.min(), m.vals.max()
                 if lo < 0:
                     v.append(f"{name} has a negative entry ({lo:g})")
                 if hi > 1:
                     v.append(f"{name} has an entry above 1 ({hi:g})")
         if P_ii.shape == (n_i, n_i) and P_bi.shape == (n_b, n_i):
-            sums = np.asarray(P_ii.sum(axis=0)).reshape(-1) + np.asarray(
-                P_bi.sum(axis=0)
-            ).reshape(-1)
+            sums = sum(np.bincount(m.cols, weights=m.vals, minlength=n_i) for m in (P_ii, P_bi))
             bad = np.flatnonzero(np.abs(sums - 1.0) > STOCHASTIC_TOL)
             for j in bad[:MAX_REPORTED]:
                 v.append(f"column {j} sums to {sums[j]:g}")
@@ -174,51 +263,68 @@ def validate_lmdp(L: Lmdp) -> ValidationReport:
     return ValidationReport(ok=not v, violations=tuple(v))
 
 
-def _lu_of_i_minus(T, singular):
-    """Sparse LU factors of ``I - T``, for a square sparse T.
+def _lu_of_i_minus(P: Triplets, singular, g: np.ndarray | None = None):
+    """``A = I - T`` for ``T = diag(g) P^T`` (g None: ``P^T``), P square, and
+    a function that solves ``A x = b`` for one or more columns b.
 
-    A singular system raises SingularSystemError with the message
-    ``singular()``, built only then.
+    Up to ``DENSE_MAX_STATES`` states A is a dense array, inverted once by
+    numpy's LU, and a solve multiplies each column by the inverse; above, A is
+    a scipy CSC matrix factored once by ``splu``. A singular system raises
+    SingularSystemError with the message ``singular()``, built only then.
     """
+    n = P.shape[0]
+    t = P.vals if g is None else g[P.cols] * P.vals
+    if n <= DENSE_MAX_STATES:
+        A = np.eye(n)
+        A[P.cols, P.rows] -= t
+        try:
+            inverse = np.linalg.inv(A)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(singular()) from exc
+
+        def solve(b):
+            # one product per column: the edge tiles of a matrix product round
+            # differently, and a task's bits must not hang on its place in b
+            return np.matmul(inverse, b.T[..., None])[..., 0].T
+
+        return A, solve
     from scipy import sparse
     from scipy.sparse.linalg import splu  # slow to import; deferred to its caller
 
+    A = (sparse.identity(n, format="csc")
+         - sparse.csc_array((t, (P.cols, P.rows)), shape=(n, n))).tocsc()
     try:
-        return splu((sparse.identity(T.shape[0], format="csc") - T).tocsc())
+        return A, splu(A).solve
     except RuntimeError as exc:
         raise SingularSystemError(singular()) from exc
 
 
 class _FiniteExitSystem:
-    """Shared sparse factorization of (I - diag(g) P_ii^T) for one LMDP."""
+    """Shared LU factorization of A = I - diag(g) P_ii^T for one LMDP."""
 
     def __init__(self, L: Lmdp):
         self.L = L
         self.g = L.exp_rewards()
         n = L.n_interior
-        if L.dynamics.P_ii.shape != (n, n):
+        if L.dynamics.ii.shape != (n, n):
             raise ValueError(
-                f"P_ii has shape {L.dynamics.P_ii.shape}, expected ({n}, {n})"
+                f"P_ii has shape {L.dynamics.ii.shape}, expected ({n}, {n})"
             )
-        self.M = L.dynamics.P_ii.T.multiply(self.g[:, None]).tocsc()
-        self.lu = _lu_of_i_minus(self.M, lambda: (
+        self.A, self.lu_solve = _lu_of_i_minus(L.dynamics.ii, lambda: (
             "desirability system is singular "
             f"(estimated spectral radius {self._spectral_radius():.6g}); "
-            "check that every interior state can reach a boundary state"))
+            "check that every interior state can reach a boundary state"), self.g)
 
     def _spectral_radius(self) -> float:
         v = np.full(self.L.n_interior, 1.0 / max(self.L.n_interior, 1))
         rho = 0.0
         for _ in range(200):
-            w = self.M @ v
+            w = self.g * self.L.dynamics.ii.t_dot(v)
             norm = np.linalg.norm(w, np.inf)
             if norm == 0 or not np.isfinite(norm):
                 return norm
             rho, v = norm, w / norm
         return rho
-
-    def rhs(self, q_b: np.ndarray) -> np.ndarray:
-        return self.g[:, None] * (self.L.dynamics.P_bi.T @ q_b)
 
     def solve(self, q_b: np.ndarray | None, q_floor: float = 0.0, out=None):
         """Solve for one column of boundary rewards per task; validates.
@@ -245,20 +351,28 @@ class _FiniteExitSystem:
                 np.fill_diagonal(Q[first:stop], 1.0)
             else:
                 Q = np.maximum(q_b[:, first:stop], q_floor)
-            z = self.lu.solve(self.rhs(Q))
-            self.check(z, Q, first)
-            out[:, first:stop] = z
+            out[:, first:stop] = self._solve_block(Q, first)
         return out
 
-    def check(self, Z: np.ndarray, Q: np.ndarray, first: int = 0) -> None:
-        """Raise unless Z is positive and solves the fixed point for Q.
+    def _solve_block(self, Q: np.ndarray, first: int) -> np.ndarray:
+        """The checked solution for the floored task columns Q."""
+        b = self.L.dynamics.bi.t_dot(Q)
+        b *= self.g[:, None]
+        z = self.lu_solve(b)
+        self.check(z, b, first)
+        return z
 
-        Z and Q hold one column per task. Each column is held to its own
+    def check(self, Z: np.ndarray, b: np.ndarray, first: int = 0) -> None:
+        """Raise unless Z is positive and solves the fixed point for the
+        right-hand side ``b = diag(g) P_bi^T Q``: its residual is ``A Z - b``.
+
+        Z and b hold one column per task. Each column is held to its own
         tolerance and the error names the first failing one, "task t: ...",
         counting tasks from ``first``.
         """
-        res = Z - self.g[:, None] * (self.L.dynamics.P_ii.T @ Z + self.L.dynamics.P_bi.T @ Q)
-        res = np.abs(res).max(axis=0, initial=0.0)
+        res = self.A @ Z
+        res -= b
+        res = np.abs(res, out=res).max(axis=0, initial=0.0)
         tol = np.maximum(RESIDUAL_TOL, RESIDUAL_TOL * np.abs(Z).max(axis=0, initial=0.0))
         bad_sign = ~np.isfinite(Z).all(axis=0) | (Z <= 0).any(axis=0)
         failing = np.flatnonzero(bad_sign | (res > tol))
@@ -310,11 +424,10 @@ def solve_iterative(L: Lmdp, q_b, tol: float = 1e-12, max_iter: int = 10_000) ->
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     g = L.exp_rewards()
-    P_ii_T = L.dynamics.P_ii.T.tocsr()
-    c = L.dynamics.P_bi.T @ q
+    c = L.dynamics.bi.t_dot(q)
     z = np.ones(L.n_interior)
     for _ in range(max_iter):
-        z_new = g * (P_ii_T @ z + c)
+        z_new = g * (L.dynamics.ii.t_dot(z) + c)
         delta = np.max(np.abs(z_new - z)) if z.size else 0.0
         z = z_new
         if delta < tol:
@@ -352,15 +465,11 @@ def _is_number_list(v) -> bool:
     return isinstance(v, list) and all(map(_is_number, v))
 
 
-def _triplets(m: sparse.csc_array) -> list[list]:
-    coo = m.tocoo()
-    order = np.lexsort((coo.row, coo.col))
-    return [
-        [int(coo.row[i]), int(coo.col[i]), float(coo.data[i])] for i in order
-    ]
+def _triplets(m: Triplets) -> list[list]:
+    return [list(t) for t in zip(m.rows.tolist(), m.cols.tolist(), m.vals.tolist())]
 
 
-def _from_triplets(obj, shape: tuple[int, int], what: str) -> sparse.csc_array:
+def _from_triplets(obj, shape: tuple[int, int], what: str) -> Triplets:
     if not isinstance(obj, dict) or "triplets" not in obj:
         raise ValueError(f"{what} must be an object with a 'triplets' field")
     trips = obj["triplets"]
@@ -372,14 +481,11 @@ def _from_triplets(obj, shape: tuple[int, int], what: str) -> sparse.csc_array:
                          "integer row and col and a number value")
     rows = [t[0] for t in trips]
     cols = [t[1] for t in trips]
-    vals = [float(t[2]) for t in trips]
     if any(not (0 <= r < shape[0]) for r in rows) or any(
         not (0 <= c < shape[1]) for c in cols
     ):
         raise ValueError(f"{what}: triplet index out of range for shape {shape}")
-    from scipy import sparse
-
-    return sparse.coo_array((vals, (rows, cols)), shape=shape).tocsc()
+    return Triplets.canonical(shape, rows, cols, [float(t[2]) for t in trips])
 
 
 def lmdp_to_json_dict(L: Lmdp) -> dict:
@@ -391,8 +497,8 @@ def lmdp_to_json_dict(L: Lmdp) -> dict:
         out["labels"] = list(L.space.labels)
     out["lambda"] = L.lam
     out["r_interior"] = [float(x) for x in L.r_interior]
-    out["P_ii"] = {"triplets": _triplets(L.dynamics.P_ii)}
-    out["P_bi"] = {"triplets": _triplets(L.dynamics.P_bi)}
+    out["P_ii"] = {"triplets": _triplets(L.dynamics.ii)}
+    out["P_bi"] = {"triplets": _triplets(L.dynamics.bi)}
     return out
 
 

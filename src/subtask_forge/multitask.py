@@ -54,10 +54,13 @@ def solve_task_basis(L: Lmdp, Q=None, q_floor: float = DEFAULT_Q_FLOOR, out=None
     first to last, and ``out`` is returned: a :class:`fileio.Spill` keeps Z
     in a file instead of in memory.
 
-    Memory: besides an explicit Q and ``out``, the solve holds the sparse LU
-    factors and a few arrays of one block of columns, each of
+    Memory: besides an explicit Q and ``out``, the solve holds its system
+    and a few arrays of one block of columns, each of
     ``SOLVE_BLOCK_ENTRIES`` = 2^16 entries (0.5 MB; 40 columns at 1600
-    interior states). With a spill as ``out``, nothing of Z's size is held.
+    interior states). The system is the sparse LU factors above
+    ``lmdp_core.DENSE_MAX_STATES`` interior states, and at or below it two
+    dense n x n arrays, ``I - T`` and its inverse (12.4 MB at 900 states).
+    On the sparse path, with a spill as ``out``, nothing of Z's size is held.
     """
     if Q is not None:
         Q = check_task_basis(L, Q)

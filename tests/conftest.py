@@ -11,13 +11,15 @@ import os
 import pickle
 import signal
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from subtask_forge import fileio
+from subtask_forge import fileio, lmdp_core
 from subtask_forge.domains import RoomsSpec, TaxiSpec, build_rooms, build_taxi
+from subtask_forge.errors import SingularSystemError
 from subtask_forge.factorize import (
     NmfOptions,
     nmf,
@@ -104,6 +106,18 @@ def equal_dynamics(a, b) -> bool:
     """Bit-exact equality of two passive-dynamics pairs."""
     return all(ma.shape == mb.shape and (ma != mb).nnz == 0
                for ma, mb in ((a.P_ii, b.P_ii), (a.P_bi, b.P_bi)))
+
+
+def singular_on_both_solvers(call) -> tuple[str, str]:
+    """The SingularSystemError messages of ``call()`` on the dense solve and
+    on scipy's ``splu``, forced by a size constant of 0."""
+    messages = []
+    for dense_max in (lmdp_core.DENSE_MAX_STATES, 0):
+        with mock.patch.object(lmdp_core, "DENSE_MAX_STATES", dense_max), \
+                pytest.raises(SingularSystemError) as info:
+            call()
+        messages.append(str(info.value))
+    return tuple(messages)
 
 
 def labels_interior(L):

@@ -334,6 +334,28 @@ def test_spec_value_of_wrong_type_exits_2_naming_it(tmp_path, spec, field):
     assert not (tmp_path / "d.json").exists()
 
 
+@pytest.mark.parametrize("weight", [5, 0])
+@pytest.mark.parametrize("command", ["build", "render", "purity", "compare"])
+def test_twin_weight_out_of_range_exits_2_naming_it(ws, tmp_path, command, weight):
+    # every command that reads a spec checks the twin weight's range, not
+    # only the one that builds the domain
+    spec = tmp_path / "spec.json"
+    params = {**ROOMS_SPEC["params"], "twin_weight": weight}
+    spec.write_text(json.dumps({**ROOMS_SPEC, "params": params}))
+    out = tmp_path / "out"
+    args = {
+        "build": ["build", spec, out],
+        "render": ["render", ws["fact"], spec, out],
+        "purity": ["analyze", ws["fact"], spec, out, "--mode", "purity"],
+        "compare": ["analyze", ws["fact"], spec, out, "--mode", "compare",
+                    "--against", ws["fact"]],
+    }[command]
+    result = runner.invoke(main, [str(a) for a in args])
+    assert result.exit_code == 2
+    assert f"field 'twin_weight' must lie in (0, 1), got {weight}" in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["r_step", "lambda"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_spec_number_exits_2(tmp_path, field, value):

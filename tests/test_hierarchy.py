@@ -7,6 +7,7 @@ independent checks: a dense linear solve done right here in the tests, and
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from conftest import augmented_stacked, equal_dynamics, read_hierarchy, write_hierarchy
+from conftest import (
+    augmented_stacked,
+    equal_dynamics,
+    read_hierarchy,
+    singular_on_both_solvers,
+    write_hierarchy,
+)
+from subtask_forge import lmdp_core
 from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
 from subtask_forge.errors import AlphaRangeError
 from subtask_forge.factorize import Factorization, NmfOptions
@@ -151,6 +159,23 @@ def test_augment_rejects_row_mismatch():
         augment_with_subtasks(toy_lmdp(), fact(np.ones((4, 2))), 0.1)
 
 
+def test_both_solvers_report_a_leaking_layer_alike():
+    # states 1 and 2 pass their walk to each other and carry no subtask
+    # mass, so a walk started there is never absorbed
+    L = Lmdp(
+        space=StateSpace(3, 1),
+        dynamics=PassiveDynamics(
+            P_ii=np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+            P_bi=np.array([[0.5, 0.0, 0.0]]),
+        ),
+        r_interior=np.zeros(3),
+    )
+    layer = augment_with_subtasks(L, fact([[1.0], [0.0], [0.0]]), 0.5)
+    dense, lu = singular_on_both_solvers(lambda: derive_higher_layer(layer))
+    assert dense == lu
+    assert dense.startswith("absorption system is singular")
+
+
 def test_derived_layer_matches_dense_inverse():
     L = toy_lmdp()
     layer = augment_with_subtasks(L, fact(TOY_D), 0.5)
@@ -198,6 +223,23 @@ def test_derived_columns_sum_to_one(case, k, seed, fraction):
     P = np.vstack([top.dynamics.P_ii.toarray(), top.dynamics.P_bi.toarray()])
     assert P.shape == (k + L.n_boundary, k) and np.all(P >= 0)
     assert np.all(np.abs(P.sum(axis=0) - 1.0) <= ABSORPTION_TOL)
+
+
+@given(random_lmdps(), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=40)
+def test_both_solvers_derive_the_same_layer(case, k, seed):
+    # the dense inverse and splu, forced by a size constant of 0, give the
+    # same absorption probabilities to a few ulps
+    L, _ = case
+    D = np.random.default_rng(seed).uniform(1e-3, 1.0, (L.n_interior, k))
+    layer = augment_with_subtasks(L, fact(D), 0.5 / normalized_columns(D).sum(axis=1).max())
+    tops = [derive_higher_layer(layer)]
+    with mock.patch.object(lmdp_core, "DENSE_MAX_STATES", 0):
+        tops.append(derive_higher_layer(layer))
+    dense, lu = (np.vstack([top.dynamics.ii.toarray(), top.dynamics.bi.toarray()])
+                 for top in tops)
+    assert np.max(np.abs(dense - lu)) <= 1e-12
 
 
 def _mc_absorption(layer, t_col: int, n_walks: int, rng) -> np.ndarray:

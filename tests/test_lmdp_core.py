@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from conftest import equal_dynamics, labels_boundary, labels_interior
+from conftest import (
+    equal_dynamics,
+    labels_boundary,
+    labels_interior,
+    singular_on_both_solvers,
+)
 from subtask_forge import lmdp_core
 from subtask_forge.errors import ConvergenceError, SingularSystemError
 from subtask_forge.lmdp_core import (
@@ -82,6 +87,21 @@ def test_singular_when_no_exit():
     )
     with pytest.raises(SingularSystemError, match="spectral radius"):
         solve_finite_exit(trapped, np.array([1.0]))
+
+
+def test_both_solvers_report_a_trapped_lmdp_alike():
+    # the LMDP of test_singular_when_no_exit: no interior state can exit
+    trapped = Lmdp(
+        space=StateSpace(2, 1),
+        dynamics=PassiveDynamics(
+            P_ii=np.array([[0.5, 0.5], [0.5, 0.5]]),
+            P_bi=np.zeros((1, 2)),
+        ),
+        r_interior=np.zeros(2),
+    )
+    dense, lu = singular_on_both_solvers(lambda: solve_finite_exit(trapped, np.array([1.0])))
+    assert dense == lu
+    assert re.match(r"desirability system is singular \(estimated spectral radius 1\)", dense)
 
 
 def test_iterative_budget():
@@ -306,6 +326,18 @@ def test_uniform_reward_shift_scales_desirability(case, dr):
     except SingularSystemError:
         return  # the raised rewards may break contractivity; nothing to check
     assert np.all(z_up >= z - 1e-12)
+
+
+@given(random_lmdps())
+@settings(max_examples=40)
+def test_dense_and_sparse_solves_agree(case):
+    # the dense inverse and splu, forced by a size constant of 0, solve the
+    # same system; these are well conditioned, so they agree to a few ulps
+    L, _ = case
+    Z = solve_task_basis(L)
+    with mock.patch.object(lmdp_core, "DENSE_MAX_STATES", 0):
+        Z_lu = solve_task_basis(L)
+    assert np.max(np.abs(Z - Z_lu) / Z_lu) <= 1e-12
 
 
 def test_sparse_inputs_accepted():

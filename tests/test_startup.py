@@ -87,6 +87,36 @@ print(json.dumps(after))
     assert len(list((tmp_path / "svg").glob("*.svg"))) == 4
 
 
+def test_lmdp_commands_at_the_paper_sizes_load_no_scipy(tmp_path):
+    # below lmdp_core.DENSE_MAX_STATES the dynamics stay numpy triplets and
+    # the solve is dense, so building, solving, scoring doorways and stacking
+    # a hierarchy load no scipy module at all
+    spec = {"type": "rooms", "params": {"room_rows": 2, "room_cols": 2, "room_size": 3},
+            "r_step": -1.0, "lambda": 20.0}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    nmf_flags = ["--restarts", "1", "--max-iter", "20"]
+    commands = {
+        "build": ["build", "spec.json", "domain.json"],
+        "solve": ["solve", "domain.json", "Z.csv"],
+        "factor": ["factor", "Z.csv", "fact", "--k", "4", *nmf_flags],
+        "doorways": ["analyze", "fact", "spec.json", "g.csv", "--mode", "doorways"],
+        "hierarchy": ["hierarchy", "domain.json", "stack", "--ks", "4,2", *nmf_flags],
+    }
+    out = run_cold(f"""
+import os
+from subtask_forge.cli import main
+os.chdir({str(tmp_path)!r})
+after = {{}}
+for name, args in {commands!r}.items():
+    main.main(args, standalone_mode=False)
+    after[name] = loaded("scipy")
+print(json.dumps(after))
+""")
+    assert out == {name: [] for name in commands}
+    assert (tmp_path / "g.csv").is_file()
+    assert (tmp_path / "stack" / "top.json").is_file()
+
+
 def test_package_root_exports_the_readme_quick_start():
     block = re.search(r"from subtask_forge import \([^)]*\)",
                       (ROOT / "README.md").read_text()).group(0)
