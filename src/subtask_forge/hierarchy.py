@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,9 +26,6 @@ from .factorize import (
 from .lmdp_core import Lmdp, PassiveDynamics, StateSpace, _lu_of_i_minus, save_lmdp
 from .multitask import solve_task_basis
 from . import fileio
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 #: Column sums of derived higher-layer dynamics must be this close to 1
 #: before exact renormalization.
@@ -50,7 +46,7 @@ class SubtaskLayer:
     """One level of the stack: base LMDP plus subtask-augmented dynamics.
 
     ``scaled`` holds the base dynamics with each column scaled down by its
-    subtask mass; ``P_ii_scaled`` and ``P_bi_scaled`` are its scipy views.
+    subtask mass; ``scaled.ii`` and ``scaled.bi`` are its ``Triplets``.
     """
 
     level: int
@@ -64,14 +60,6 @@ class SubtaskLayer:
     @property
     def k(self) -> int:
         return self.P_t.shape[0]
-
-    @property
-    def P_ii_scaled(self) -> sparse.csc_array:
-        return self.scaled.P_ii
-
-    @property
-    def P_bi_scaled(self) -> sparse.csc_array:
-        return self.scaled.P_bi
 
 
 def augment_with_subtasks(L: Lmdp, F: Factorization, alpha: float) -> SubtaskLayer:

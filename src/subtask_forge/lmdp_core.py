@@ -12,9 +12,10 @@ solves the fixed point
 
 which is linear in ``z`` and solved here directly: by a dense inverse from
 numpy up to ``DENSE_MAX_STATES`` interior states, by scipy's sparse LU above.
-The dynamics are held as numpy coordinate arrays (:class:`Triplets`), so at
-the paper's sizes an LMDP is built, read, written, validated and solved
-without importing scipy.
+The dynamics are held only as numpy coordinate arrays (:class:`Triplets`):
+a scipy matrix exists only inside :func:`_lu_of_i_minus` for the sparse LU,
+so at the paper's sizes an LMDP is built, read, written, validated and
+solved without importing scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -43,9 +43,6 @@ SOLVE_BLOCK_ENTRIES = 2 ** 16
 #: path holds more memory, and at 1600 it also takes longer.
 DENSE_MAX_STATES = 900
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -64,7 +61,9 @@ class Triplets:
 
     @classmethod
     def canonical(cls, shape, rows, cols, vals) -> Triplets:
-        """Sort the entries into CSC order and sum duplicates, as scipy does."""
+        """Sort the entries into CSC order and sum each (row, col) pair's
+        duplicates in input order. scipy's ``sum_duplicates`` adds them in
+        another order, so its sums can differ from these in the last bits."""
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         order = np.lexsort((rows, cols))
         rows, cols, vals = rows[order], cols[order], np.asarray(vals, dtype=float)[order]
@@ -78,21 +77,17 @@ class Triplets:
 
     @classmethod
     def of(cls, m, what: str) -> Triplets:
-        """From Triplets, a scipy sparse matrix or anything numpy reads as a
-        2-D array; the zeros of a dense input are dropped."""
+        """From Triplets or a numeric 2-D array; the zeros of the array are
+        dropped. Anything else raises ValueError naming ``what``."""
         if isinstance(m, Triplets):
             return m
-        if hasattr(m, "tocoo"):  # scipy sparse, read without importing scipy
-            if m.ndim != 2:
-                raise ValueError(f"{what}: expected a 2-D matrix, got ndim={m.ndim}")
-            coo = m.tocoo()
-            return cls.canonical(coo.shape, coo.row, coo.col, coo.data)
         try:
             a = np.asarray(m, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{what}: cannot interpret as a sparse matrix: {exc}") from exc
-        if a.ndim != 2:
-            raise ValueError(f"{what}: expected a 2-D matrix, got ndim={a.ndim}")
+        except (TypeError, ValueError):
+            a = None
+        if a is None or a.ndim != 2:
+            got = type(m).__name__ if a is None else f"a {a.ndim}-D array"
+            raise ValueError(f"{what}: expected Triplets or a numeric 2-D array, got {got}")
         cols, rows = np.nonzero(a.T)
         return cls.canonical(a.shape, rows, cols, a[rows, cols])
 
@@ -128,17 +123,6 @@ class Triplets:
         out[self.rows, self.cols] = self.vals
         return out
 
-    def csc(self) -> sparse.csc_array:
-        """A scipy CSC matrix of these entries; its data is read-only."""
-        from scipy import sparse  # slow to import; only the views need it
-
-        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.cols, minlength=self.shape[1]), out=indptr[1:])
-        # scipy may sort or prune the index arrays in place: hand it a copy
-        out = sparse.csc_array((self.vals, self.rows.copy(), indptr), shape=self.shape)
-        out.data.setflags(write=False)
-        return out
-
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -158,22 +142,13 @@ class PassiveDynamics:
 
     ``P_ii[i, s]`` is the probability of moving from interior state ``s`` to
     interior state ``i``; ``P_bi[b, s]`` the probability of exiting to
-    boundary state ``b``. They are held as :class:`Triplets` ``ii`` and
-    ``bi``; ``P_ii`` and ``P_bi`` are read-only scipy CSC views of them,
-    built (and scipy imported) on first access.
+    boundary state ``b``. Each is given as :class:`Triplets` or a dense 2-D
+    array and held only as :class:`Triplets`, ``ii`` and ``bi``.
     """
 
     def __init__(self, P_ii, P_bi):
         self.ii = Triplets.of(P_ii, "P_ii")
         self.bi = Triplets.of(P_bi, "P_bi")
-
-    @functools.cached_property
-    def P_ii(self) -> sparse.csc_array:
-        return self.ii.csc()
-
-    @functools.cached_property
-    def P_bi(self) -> sparse.csc_array:
-        return self.bi.csc()
 
 
 @dataclass(frozen=True, eq=False)

@@ -104,8 +104,8 @@ def inject(monkeypatch, attr, failure):
 
 def equal_dynamics(a, b) -> bool:
     """Bit-exact equality of two passive-dynamics pairs."""
-    return all(ma.shape == mb.shape and (ma != mb).nnz == 0
-               for ma, mb in ((a.P_ii, b.P_ii), (a.P_bi, b.P_bi)))
+    return all(ma.shape == mb.shape and np.array_equal(ma.toarray(), mb.toarray())
+               for ma, mb in ((a.ii, b.ii), (a.bi, b.bi)))
 
 
 def singular_on_both_solvers(call) -> tuple[str, str]:
@@ -130,7 +130,7 @@ def labels_boundary(L):
 
 def augmented_stacked(layer) -> np.ndarray:
     """Dense (n_i + n_b + k) x n_i column-stochastic augmented dynamics."""
-    return np.vstack([layer.P_ii_scaled.toarray(), layer.P_bi_scaled.toarray(), layer.P_t])
+    return np.vstack([layer.scaled.ii.toarray(), layer.scaled.bi.toarray(), layer.P_t])
 
 
 def write_factorization(dir_path, F) -> None:

@@ -66,7 +66,7 @@ def ring_hier(ring_lmdp):
 
 def _residual(L, z, q):
     g = L.exp_rewards()
-    return z - g * (L.dynamics.P_ii.T @ z + L.dynamics.P_bi.T @ q)
+    return z - g * (L.dynamics.ii.toarray().T @ z + L.dynamics.bi.toarray().T @ q)
 
 
 def test_criterion_01_solver_equivalence(rooms_lmdp, taxi_lmdp, ring_lmdp):
@@ -171,9 +171,9 @@ def test_criterion_08_hierarchy_quadrants(rooms_hier):
 
 def test_criterion_09_doorway_scores(rooms_fact16, rooms_lmdp):
     rooms = rooms_room_labels(RoomsSpec(4, 4, 5))
-    P = rooms_lmdp.dynamics.P_ii.tocoo()
-    cross = rooms[P.coords[0]] != rooms[P.coords[1]]
-    doorway_cells = set(P.coords[0][cross]) | set(P.coords[1][cross])
+    P = rooms_lmdp.dynamics.ii
+    cross = rooms[P.rows] != rooms[P.cols]
+    doorway_cells = set(P.rows[cross]) | set(P.cols[cross])
     n_doorways = int(cross.sum()) // 2  # each doorway contributes two edges
     g = boundary_score(rooms_fact16, rooms_lmdp)
     top = set(top_scoring_states(g, 2 * n_doorways).tolist())
@@ -219,11 +219,11 @@ def test_criterion_11_higher_layer_absorption():
                       iterations=0, converged=True, best_restart=0)
     layer = augment_with_subtasks(L, F, 0.6)
     top = derive_higher_layer(layer)
-    P = np.vstack([top.dynamics.P_ii.toarray(), top.dynamics.P_bi.toarray()])
+    P = np.vstack([top.dynamics.ii.toarray(), top.dynamics.bi.toarray()])
 
     # raw absorption sums, before the library's exact renormalization
-    M = np.eye(6) - layer.P_ii_scaled.toarray().T
-    absorb = np.hstack([layer.P_t.T, layer.P_bi_scaled.toarray().T])
+    M = np.eye(6) - layer.scaled.ii.toarray().T
+    absorb = np.hstack([layer.P_t.T, layer.scaled.bi.toarray().T])
     raw = np.linalg.solve(M, absorb).T @ layer.d_hat
     sums_ok = np.max(np.abs(raw.sum(axis=0) - 1.0)) <= 1e-10
 

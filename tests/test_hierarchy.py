@@ -11,9 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from conftest import (
     augmented_stacked,
@@ -51,8 +50,8 @@ def fact(D, W=None) -> Factorization:
 def strip_subtasks(layer) -> Lmdp:
     """The layer's base LMDP rebuilt from its scaled dynamics."""
     inv = 1.0 / (1.0 - layer.alpha * layer.d_hat.sum(axis=1))
-    dynamics = PassiveDynamics(layer.P_ii_scaled.multiply(inv[None, :]).tocsc(),
-                               layer.P_bi_scaled.multiply(inv[None, :]).tocsc())
+    dynamics = PassiveDynamics(layer.scaled.ii.scale_columns(inv),
+                               layer.scaled.bi.scale_columns(inv))
     return Lmdp(layer.base.space, dynamics, layer.base.r_interior, layer.base.lam)
 
 
@@ -69,7 +68,7 @@ def toy_lmdp() -> Lmdp:
     ])
     return Lmdp(
         space=StateSpace(3, 2, ("a", "b", "c", "exit:a", "exit:b")),
-        dynamics=PassiveDynamics(sparse.csc_array(P_ii), sparse.csc_array(P_bi)),
+        dynamics=PassiveDynamics(P_ii, P_bi),
         r_interior=np.array([-1.0, -2.0, -3.0]),
         lam=1.0,
     )
@@ -112,11 +111,11 @@ def test_augment_hand_oracle():
 
     # original rows shrink by exactly the mass diverted into subtask states
     scale = 1.0 - alpha * d_hat.sum(axis=1)
-    assert np.array_equal(layer.P_ii_scaled.toarray(),
-                          L.dynamics.P_ii.toarray() * scale[None, :])
-    assert np.array_equal(layer.P_bi_scaled.toarray(),
-                          L.dynamics.P_bi.toarray() * scale[None, :])
-    assert layer.P_ii_scaled.nnz == L.dynamics.P_ii.nnz
+    assert np.array_equal(layer.scaled.ii.toarray(),
+                          L.dynamics.ii.toarray() * scale[None, :])
+    assert np.array_equal(layer.scaled.bi.toarray(),
+                          L.dynamics.bi.toarray() * scale[None, :])
+    assert layer.scaled.ii.vals.size == L.dynamics.ii.vals.size
 
     stacked = augmented_stacked(layer)
     assert stacked.shape == (3 + 2 + 2, 3)
@@ -139,9 +138,9 @@ def test_alpha_zero_roundtrip_is_bit_exact():
 def test_nonzero_alpha_roundtrip():
     L = toy_lmdp()
     back = strip_subtasks(augment_with_subtasks(L, fact(TOY_D), 0.7))
-    assert np.allclose(back.dynamics.P_ii.toarray(), L.dynamics.P_ii.toarray(),
+    assert np.allclose(back.dynamics.ii.toarray(), L.dynamics.ii.toarray(),
                        rtol=1e-14, atol=0)
-    assert np.allclose(back.dynamics.P_bi.toarray(), L.dynamics.P_bi.toarray(),
+    assert np.allclose(back.dynamics.bi.toarray(), L.dynamics.bi.toarray(),
                        rtol=1e-14, atol=0)
 
 
@@ -184,15 +183,15 @@ def test_derived_layer_matches_dense_inverse():
     # oracle: hitting probabilities of the absorbing augmented chain,
     # H[s, j] = P(absorbed at j | start s), via a dense solve
     n, k, n_b = 3, 2, 2
-    M = np.eye(n) - layer.P_ii_scaled.toarray().T
-    absorb = np.hstack([layer.P_t.T, layer.P_bi_scaled.toarray().T])
+    M = np.eye(n) - layer.scaled.ii.toarray().T
+    absorb = np.hstack([layer.P_t.T, layer.scaled.bi.toarray().T])
     H = np.linalg.solve(M, absorb)
     oracle = H.T @ layer.d_hat
 
     # absorption is certain, so oracle columns sum to 1 before any cleanup
     assert np.all(np.abs(oracle.sum(axis=0) - 1.0) < 1e-10)
 
-    got = np.vstack([top.dynamics.P_ii.toarray(), top.dynamics.P_bi.toarray()])
+    got = np.vstack([top.dynamics.ii.toarray(), top.dynamics.bi.toarray()])
     assert got.shape == (k + n_b, k)
     assert np.allclose(got, oracle, rtol=1e-12, atol=1e-15)
     assert np.allclose(got.sum(axis=0), 1.0, atol=1e-12)
@@ -217,10 +216,10 @@ def test_derived_columns_sum_to_one(case, k, seed, fraction):
     # each footprint are absorbed with probability 1
     L, _ = case
     D = np.random.default_rng(seed).uniform(1e-3, 1.0, (L.n_interior, k))
-    alpha_max = 1.0 / normalized_columns(D).sum(axis=1).max()
-    layer = augment_with_subtasks(L, fact(D), fraction * alpha_max)
-    top = derive_higher_layer(layer)
-    P = np.vstack([top.dynamics.P_ii.toarray(), top.dynamics.P_bi.toarray()])
+    alpha = fraction / normalized_columns(D).sum(axis=1).max()
+    assume(alpha > 0)  # a subnormal fraction can round alpha to 0
+    top = derive_higher_layer(augment_with_subtasks(L, fact(D), alpha))
+    P = np.vstack([top.dynamics.ii.toarray(), top.dynamics.bi.toarray()])
     assert P.shape == (k + L.n_boundary, k) and np.all(P >= 0)
     assert np.all(np.abs(P.sum(axis=0) - 1.0) <= ABSORPTION_TOL)
 
@@ -275,7 +274,7 @@ def test_derived_layer_matches_monte_carlo():
     ])
     layer = augment_with_subtasks(L, fact(D), 0.6)
     top = derive_higher_layer(layer)
-    P = np.vstack([top.dynamics.P_ii.toarray(), top.dynamics.P_bi.toarray()])
+    P = np.vstack([top.dynamics.ii.toarray(), top.dynamics.bi.toarray()])
 
     # frozen seed; worst entry sits under 1 standard error for this draw
     rng = np.random.default_rng(8)
@@ -369,8 +368,8 @@ def test_write_read_roundtrip(tmp_path, small_hierarchy):
         assert np.array_equal(got.d_hat, want.d_hat)
         assert got.alpha == want.alpha
         assert equal_dynamics(got.base.dynamics, want.base.dynamics)
-        assert np.array_equal(got.P_ii_scaled.toarray(),
-                              want.P_ii_scaled.toarray())
+        assert np.array_equal(got.scaled.ii.toarray(),
+                              want.scaled.ii.toarray())
 
 
 def test_read_hierarchy_rejects_bad_manifest(tmp_path, small_hierarchy):

@@ -20,6 +20,7 @@ from subtask_forge.lmdp_core import (
     Lmdp,
     PassiveDynamics,
     StateSpace,
+    Triplets,
     lmdp_from_json_dict,
     lmdp_to_json_dict,
     load_lmdp,
@@ -221,7 +222,7 @@ def test_json_triplet_out_of_range():
 def test_dynamics_are_read_only():
     L = two_state()
     with pytest.raises(ValueError):
-        L.dynamics.P_ii.data[0] = 0.9
+        L.dynamics.ii.vals[0] = 0.9
     with pytest.raises(ValueError):
         L.r_interior[0] = 1.0
 
@@ -256,7 +257,7 @@ def test_solutions_are_positive_fixed_points(case):
     z = solve_finite_exit(L, q)
     assert np.all(z > 0) and np.all(np.isfinite(z))
     g = np.exp(L.r_interior / L.lam)
-    res = z - g * (L.dynamics.P_ii.T @ z + L.dynamics.P_bi.T @ q)
+    res = z - g * (L.dynamics.ii.toarray().T @ z + L.dynamics.bi.toarray().T @ q)
     assert np.max(np.abs(res)) <= 1e-10 * max(1.0, np.max(np.abs(z)))
     np.testing.assert_allclose(z, solve_iterative(L, q, tol=1e-14), rtol=1e-9)
 
@@ -269,8 +270,8 @@ def test_permuting_interior_states_permutes_the_basis(case, data):
     perm = np.array(data.draw(st.permutations(range(L.n_interior))))
     permuted = Lmdp(
         space=L.space,
-        dynamics=PassiveDynamics(P_ii=L.dynamics.P_ii.toarray()[np.ix_(perm, perm)],
-                                 P_bi=L.dynamics.P_bi.toarray()[:, perm]),
+        dynamics=PassiveDynamics(P_ii=L.dynamics.ii.toarray()[np.ix_(perm, perm)],
+                                 P_bi=L.dynamics.bi.toarray()[:, perm]),
         r_interior=L.r_interior[perm],
         lam=L.lam,
     )
@@ -340,12 +341,75 @@ def test_dense_and_sparse_solves_agree(case):
     assert np.max(np.abs(Z - Z_lu) / Z_lu) <= 1e-12
 
 
-def test_sparse_inputs_accepted():
-    L = Lmdp(
-        space=StateSpace(2, 2),
-        dynamics=PassiveDynamics(
-            P_ii=sparse.csr_array(P_II), P_bi=sparse.coo_array(P_BI)
-        ),
-        r_interior=R,
-    )
-    np.testing.assert_allclose(solve_finite_exit(L, Q), Z_ORACLE, rtol=1e-12)
+def test_dynamics_take_triplets_or_dense_arrays_only():
+    dense = two_state().dynamics
+    given_triplets = PassiveDynamics(P_ii=dense.ii, P_bi=dense.bi)
+    assert given_triplets.ii is dense.ii and given_triplets.bi is dense.bi
+    for bad, got in ((sparse.csr_array(P_II), "csr_array"), (P_II[0], "a 1-D array"),
+                     ([[0.5, "x"]], "list"), (None, "a 0-D array")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"P_ii: expected Triplets or a numeric 2-D array, got {got}")):
+            PassiveDynamics(P_ii=bad, P_bi=P_BI)
+    with pytest.raises(ValueError, match="P_bi: expected Triplets"):
+        PassiveDynamics(P_ii=P_II, P_bi=sparse.coo_array(P_BI))
+
+
+@st.composite
+def coordinates(draw, max_copies: int):
+    """(shape, rows, cols, vals) of a small matrix in a random order, each
+    (row, col) pair given 1 to ``max_copies`` times; some values are 0."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    copies = rng.integers(0, max_copies + 1, shape) * (rng.random(shape) < 0.6)
+    cols, rows = np.nonzero(copies.T)
+    rows, cols = np.repeat(rows, copies[rows, cols]), np.repeat(cols, copies[rows, cols])
+    order = rng.permutation(rows.size)
+    vals = rng.uniform(0.0, 1.0, rows.size) * (rng.random(rows.size) < 0.9)
+    return shape, rows[order], cols[order], vals
+
+
+@given(coordinates(max_copies=1), st.integers(0, 2**31))
+@settings(max_examples=150)
+def test_t_dot_is_scipys_transposed_product(case, seed):
+    # t_dot sums each column's entries top to bottom, as scipy's CSR product
+    # with the transpose does, so the two agree bit for bit
+    shape, rows, cols, vals = case
+    P = Triplets.canonical(shape, rows, cols, vals)
+    reference = sparse.csc_array((vals, (rows, cols)), shape=shape)
+    rng = np.random.default_rng(seed)
+    for X in (rng.normal(size=shape[0]), rng.normal(size=(shape[0], 3))):
+        assert np.array_equal(P.t_dot(X), reference.T @ X)
+
+
+@given(coordinates(max_copies=4))
+@settings(max_examples=150)
+def test_canonical_sorts_and_sums_duplicates_in_input_order(case):
+    shape, rows, cols, vals = case
+    P = Triplets.canonical(shape, rows, cols, vals)
+    assert np.all(np.diff(P.cols * shape[0] + P.rows) > 0)  # CSC order, no pair twice
+    in_order, copies = np.zeros(shape), np.zeros(shape)
+    for r, c, v in zip(rows, cols, vals):
+        in_order[r, c] += v
+        copies[r, c] += 1
+    assert np.array_equal(P.toarray(), in_order)
+    assert P.vals.size == np.count_nonzero(copies)  # explicit zeros are kept
+    # scipy adds a pair's m copies in another order; two orders of summing m
+    # nonnegative numbers differ by at most 2 (m - 1) u times their sum, u = eps / 2
+    reference = sparse.csc_array((vals, (rows, cols)), shape=shape)
+    reference.sum_duplicates()
+    bound = np.maximum(copies - 1, 0) * np.finfo(float).eps * in_order
+    assert np.all(np.abs(P.toarray() - reference.toarray()) <= bound)
+
+
+@given(coordinates(max_copies=1), st.integers(0, 2**31))
+@settings(max_examples=60)
+def test_scale_columns_keeps_explicit_zeros(case, seed):
+    shape, rows, cols, vals = case
+    P = Triplets.canonical(shape, rows, cols, vals)
+    scale = np.random.default_rng(seed).uniform(0.0, 2.0, shape[1])
+    scale[::2] = 0.0
+    S = P.scale_columns(scale)
+    assert S.shape == P.shape
+    assert np.array_equal(S.rows, P.rows) and np.array_equal(S.cols, P.cols)
+    assert np.array_equal(S.vals, P.vals * scale[P.cols])
+    assert not S.vals.flags.writeable

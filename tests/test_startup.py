@@ -3,9 +3,11 @@
 Each CLI command runs in a fresh process, so everything the CLI imports at
 module level is paid by every command. These tests import the CLI in a clean
 interpreter and check which scipy modules that pulled in, and which ones the
-commands that never touch a sparse matrix pull in when they run. Source that
-no command runs is compiled by each command all the same, so the last test
-keeps the package free of public functions and classes that nothing uses.
+commands that never touch a sparse matrix pull in when they run. A static
+check keeps every scipy import inside the few functions that call scipy.
+Source that no command runs is compiled by each command all the same, so the
+last test keeps the package free of public functions and classes that nothing
+uses.
 """
 
 import ast
@@ -168,6 +170,39 @@ print(json.dumps({{"missing": [f"{{owner.__name__}}.{{attr}}"
                               if not hasattr(owner, attr)]}}))
 """)
     assert out == {"missing": []}
+
+
+#: The only places the package imports scipy: each is slow to import, so it
+#: loads inside the one function that calls it, and the dynamics are numpy
+#: triplets everywhere else.
+SCIPY_IMPORTERS = {"lmdp_core._lu_of_i_minus", "multitask.compose",
+                   "analysis.subtask_distance"}
+
+
+def scipy_importers(node: ast.AST, where: str) -> set[str]:
+    """Qualified names of the functions and classes under ``node`` (the
+    module itself for a top-level import) that import a scipy module."""
+    out = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out |= scipy_importers(child, f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            modules = [child.module]
+        else:
+            modules = []
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            out.add(where)
+        out |= scipy_importers(child, where)
+    return out
+
+
+def test_scipy_is_imported_only_where_it_is_called():
+    found = set().union(*(scipy_importers(ast.parse(p.read_text()), p.stem)
+                          for p in (SRC / "subtask_forge").glob("*.py")))
+    assert found == SCIPY_IMPORTERS
 
 
 #: Public names that no command runs, kept as the references the tests
