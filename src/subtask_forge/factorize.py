@@ -229,45 +229,6 @@ def _gram_objective(half_zz, W, DtZ, DtD, WWt):
     return d if d >= _GRAM_FLOOR * half_zz else None
 
 
-def _values(Z, D, W, beta):
-    """Yield d_beta(Z || D @ W) for the given factors, then after each sweep
-    of multiplicative updates, which change D and W in place (beta != 2).
-
-    B and the n x N work arrays live as long as the generator; each sweep
-    writes into them. nmf hands in a C-ordered Z, the order of B and the
-    work arrays, so every elementwise pass reads all three in step. The
-    beta = 1 value is in quotient form until it nears its cancellation
-    floor; from then on the restart stays with the exact terms.
-    """
-    B = np.empty(Z.shape)
-    scratch = [np.empty(Z.shape) for _ in range(2 if beta == 1 else 0)]
-    gamma = _mu_exponent(beta)
-    sum_Z = float(Z.sum()) if beta == 1 else None
-    while True:
-        np.matmul(D, W, out=B)
-        d, quotient = _objective(Z, D, W, B, beta, scratch, sum_Z)
-        yield d
-        if not quotient:
-            sum_Z = None
-        _update_once(Z, D, W, B, beta, gamma, scratch, quotient)
-
-
-def _frobenius_values(Z, D, W):
-    """:func:`_values` at beta = 2. Each value is taken in Gram form from the
-    products the sweep formed, so no n x N array is made, until it falls
-    below ``_GRAM_FLOOR``; from then on the restart forms B = D @ W and
-    takes the cancellation-free terms in a second n x N work array."""
-    half_zz = 0.5 * float(np.einsum("ij,ij->", Z, Z))
-    DtZ, DtD, WWt = D.T @ Z, D.T @ D, W @ W.T
-    while (d := _gram_objective(half_zz, W, DtZ, DtD, WWt)) is not None:
-        yield d
-        DtZ, DtD, WWt = _frobenius_sweep(Z, D, W, WWt)
-    B, work = np.empty(Z.shape), np.empty(Z.shape)
-    while True:
-        yield _divergence(Z, np.matmul(D, W, out=B), 2.0, work)
-        WWt = _frobenius_sweep(Z, D, W, WWt)[2]
-
-
 @dataclass(frozen=True)
 class NmfOptions:
     max_iter: int = 500
@@ -310,6 +271,19 @@ def _restart_stream(seed: int, k: int, restart: int) -> np.random.Generator:
 
 
 def _run_restart(Z, k, beta, opts, restart):
+    """(D, W, trace, converged) of one seeded restart: d_beta(Z || D @ W) for
+    the start, then after each sweep until the stop rule or ``opts.max_iter``.
+
+    The value is taken at beta 2 in Gram form from the products of the last
+    sweep, with no n x N array, and at beta 1 in quotient form from the
+    Z / B that the next D update needs, until it falls below its floor; from
+    then on, and at every other beta, the restart forms B = D @ W and takes
+    the cancellation-free terms. B and the n x N work arrays are made when
+    the restart first needs them: at the start except at beta 2, where the
+    switch makes B and one work array. nmf hands in a C-ordered Z, the
+    order of B and the work arrays, so every elementwise pass reads all
+    three in step.
+    """
     rng = _restart_stream(opts.seed, k, restart)
     n, n_tasks = Z.shape
     D = rng.uniform(0.1, 1.1, size=(n, k))
@@ -320,16 +294,30 @@ def _run_restart(Z, k, beta, opts, restart):
     W *= scale
 
     # nmf has checked Z, and checks the fit for non-finite values at the end
-    values = _frobenius_values(Z, D, W) if beta == 2 else _values(Z, D, W, beta)
-    trace = [next(values)]
-    converged = False
-    for _ in range(opts.max_iter):
-        d = next(values)
+    gamma, B = _mu_exponent(beta), None
+    sum_Z = float(Z.sum()) if beta == 1 else None  # None once below the quotient floor
+    if beta == 2:  # B stays None while the Gram value holds
+        half_zz = 0.5 * float(np.einsum("ij,ij->", Z, Z))
+        DtZ, DtD, WWt = D.T @ Z, D.T @ D, W @ W.T
+    else:
+        B, scratch = np.empty(Z.shape), [np.empty(Z.shape) for _ in range(2 if beta == 1 else 0)]
+    trace = []
+    while True:
+        d = None if B is not None else _gram_objective(half_zz, W, DtZ, DtD, WWt)
+        if d is None:
+            if B is None:  # the Gram value fell below its floor
+                B, scratch = np.empty(Z.shape), [np.empty(Z.shape)]
+            d, quotient = _objective(Z, D, W, np.matmul(D, W, out=B), beta, scratch, sum_Z)
+            sum_Z = sum_Z if quotient else None
         trace.append(d)
-        if trace[-2] - d <= opts.tol * max(trace[-2], _TINY):
-            converged = True
-            break
-    return D, W, np.array(trace), converged
+        if len(trace) > 1 and trace[-2] - d <= opts.tol * max(trace[-2], _TINY):
+            return D, W, np.array(trace), True
+        if len(trace) > opts.max_iter:
+            return D, W, np.array(trace), False
+        if beta == 2:
+            DtZ, DtD, WWt = _frobenius_sweep(Z, D, W, WWt)
+        else:
+            _update_once(Z, D, W, B, beta, gamma, scratch, quotient)
 
 
 #: Entries per row block of the baseline divergence: its terms are arrays of

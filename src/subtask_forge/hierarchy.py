@@ -109,7 +109,7 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
         raise ValueError("deriving a higher layer needs alpha > 0")
     n, k = layer.base.n_interior, layer.k
     n_b = layer.base.n_boundary
-    _, solve = _lu_of_i_minus(layer.scaled.ii, lambda: (
+    solve = _lu_of_i_minus(layer.scaled.ii, lambda: (
         "absorption system is singular; augmented dynamics leak probability"))
     hit = solve(np.hstack([layer.P_t.T, layer.scaled.bi.toarray().T]))
     P_next = hit.T @ layer.d_hat

@@ -239,13 +239,15 @@ def validate_lmdp(L: Lmdp) -> ValidationReport:
 
 
 def _lu_of_i_minus(P: Triplets, singular, g: np.ndarray | None = None):
-    """``A = I - T`` for ``T = diag(g) P^T`` (g None: ``P^T``), P square, and
-    a function that solves ``A x = b`` for one or more columns b.
+    """A function that solves ``A x = b`` for one or more columns b, where
+    ``A = I - T`` for ``T = diag(g) P^T`` (g None: ``P^T``), P square.
 
     Up to ``DENSE_MAX_STATES`` states A is a dense array, inverted once by
     numpy's LU, and a solve multiplies each column by the inverse; above, A is
-    a scipy CSC matrix factored once by ``splu``. A singular system raises
-    SingularSystemError with the message ``singular()``, built only then.
+    a scipy CSC matrix factored once by ``splu``. Either way A exists only
+    while it is factored: the function holds the inverse or the LU factors.
+    A singular system raises SingularSystemError with the message
+    ``singular()``, built only then.
     """
     n = P.shape[0]
     t = P.vals if g is None else g[P.cols] * P.vals
@@ -262,14 +264,14 @@ def _lu_of_i_minus(P: Triplets, singular, g: np.ndarray | None = None):
             # differently, and a task's bits must not hang on its place in b
             return np.matmul(inverse, b.T[..., None])[..., 0].T
 
-        return A, solve
+        return solve
     from scipy import sparse
     from scipy.sparse.linalg import splu  # slow to import; deferred to its caller
 
     A = (sparse.identity(n, format="csc")
          - sparse.csc_array((t, (P.cols, P.rows)), shape=(n, n))).tocsc()
     try:
-        return A, splu(A).solve
+        return splu(A).solve
     except RuntimeError as exc:
         raise SingularSystemError(singular()) from exc
 
@@ -285,7 +287,7 @@ class _FiniteExitSystem:
             raise ValueError(
                 f"P_ii has shape {L.dynamics.ii.shape}, expected ({n}, {n})"
             )
-        self.A, self.lu_solve = _lu_of_i_minus(L.dynamics.ii, lambda: (
+        self.lu_solve = _lu_of_i_minus(L.dynamics.ii, lambda: (
             "desirability system is singular "
             f"(estimated spectral radius {self._spectral_radius():.6g}); "
             "check that every interior state can reach a boundary state"), self.g)
@@ -339,13 +341,14 @@ class _FiniteExitSystem:
 
     def check(self, Z: np.ndarray, b: np.ndarray, first: int = 0) -> None:
         """Raise unless Z is positive and solves the fixed point for the
-        right-hand side ``b = diag(g) P_bi^T Q``: its residual is ``A Z - b``.
+        right-hand side ``b = diag(g) P_bi^T Q``: its residual is ``A Z - b``,
+        with ``A Z = Z - diag(g) P_ii^T Z`` taken from the triplets.
 
         Z and b hold one column per task. Each column is held to its own
         tolerance and the error names the first failing one, "task t: ...",
         counting tasks from ``first``.
         """
-        res = self.A @ Z
+        res = Z - self.g[:, None] * self.L.dynamics.ii.t_dot(Z)
         res -= b
         res = np.abs(res, out=res).max(axis=0, initial=0.0)
         tol = np.maximum(RESIDUAL_TOL, RESIDUAL_TOL * np.abs(Z).max(axis=0, initial=0.0))

@@ -58,9 +58,10 @@ def solve_task_basis(L: Lmdp, Q=None, q_floor: float = DEFAULT_Q_FLOOR, out=None
     and a few arrays of one block of columns, each of
     ``SOLVE_BLOCK_ENTRIES`` = 2^16 entries (0.5 MB; 40 columns at 1600
     interior states). The system is the sparse LU factors above
-    ``lmdp_core.DENSE_MAX_STATES`` interior states, and at or below it two
-    dense n x n arrays, ``I - T`` and its inverse (12.4 MB at 900 states).
-    On the sparse path, with a spill as ``out``, nothing of Z's size is held.
+    ``lmdp_core.DENSE_MAX_STATES`` interior states, and at or below it the
+    dense n x n inverse of ``I - T`` (6.5 MB at 900 states); ``I - T``
+    itself exists only while it is factored. On the sparse path, with a
+    spill as ``out``, nothing of Z's size is held.
     """
     if Q is not None:
         Q = check_task_basis(L, Q)

@@ -179,7 +179,11 @@ def test_nmf_best_restart_is_minimum():
 
 
 def _restart_with_temporaries(Z, k, beta, opts, restart):
-    """Reference sweep for beta 1 and 2: every term a fresh array."""
+    """Reference restart: every term a fresh array. The value is taken in
+    Gram form at beta 2 and in quotient form at beta 1 until it falls below
+    its floor, and from then on as ``beta_divergence``, as at every other
+    beta. Returns D, W, the trace and whether the value switched to
+    ``beta_divergence`` in a restart that began above its floor."""
     tiny = np.finfo(float).tiny
     rng = np.random.default_rng([opts.seed, k, restart])
     D = rng.uniform(0.1, 1.1, size=(Z.shape[0], k))
@@ -187,16 +191,30 @@ def _restart_with_temporaries(Z, k, beta, opts, restart):
     scale = np.sqrt(Z.mean() / (float(D.sum(axis=0) @ W.sum(axis=1)) / Z.size))
     D *= scale
     W *= scale
+    gamma = {0.0: 0.5, 1.0: 1.0, 1.5: 1.0, 2.0: 1.0}[beta]  # the MM exponent
+    fast = beta in (1.0, 2.0)
+    switched = False
 
     def objective(B):
-        if beta == 2:
+        nonlocal fast, switched
+        if fast and beta == 2:
             # Gram form: 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>
-            return (0.5 * float(np.einsum("ij,ij->", Z, Z))
-                    - float(np.einsum("ij,ij->", D.T @ Z, W))
-                    + 0.5 * float(np.einsum("ij,ij->", D.T @ D, W @ W.T)))
-        # quotient form: sum(Z log(Z / B)) - sum(Z) + colsum(D) . rowsum(W)
-        return (float(np.einsum("ij,ij->", Z, np.log(Z / B))) - float(Z.sum())
-                + float(D.sum(axis=0) @ W.sum(axis=1)))
+            half_zz = 0.5 * float(np.einsum("ij,ij->", Z, Z))
+            d = (half_zz - float(np.einsum("ij,ij->", D.T @ Z, W))
+                 + 0.5 * float(np.einsum("ij,ij->", D.T @ D, W @ W.T)))
+            if d >= factorize._GRAM_FLOOR * half_zz:
+                return d
+        elif fast:
+            # quotient form: sum(Z log(Z / B)) - sum(Z) + colsum(D) . rowsum(W)
+            sum_Z, sum_B = float(Z.sum()), float(D.sum(axis=0) @ W.sum(axis=1))
+            d = float(np.einsum("ij,ij->", Z, np.log(Z / B))) - sum_Z + sum_B
+            if d >= factorize._QUOTIENT_FLOOR * (sum_Z + sum_B):
+                return d
+        switched, fast = switched or fast, False
+        return beta_divergence(Z, B, beta)
+
+    def power(B, p):
+        return 1.0 / (B * B) if p == -2.0 else B ** p
 
     B = D @ W
     trace = [objective(B)]
@@ -204,27 +222,57 @@ def _restart_with_temporaries(Z, k, beta, opts, restart):
         if beta == 2:
             D *= (Z @ W.T) / np.maximum(D @ (W @ W.T), tiny)
             W *= (D.T @ Z) / np.maximum((D.T @ D) @ W, tiny)
-        else:
+        elif beta == 1:
             D *= ((Z / B) @ W.T) / np.maximum(W.sum(axis=1)[None, :], tiny)
             W *= (D.T @ (Z / (D @ W))) / np.maximum(D.sum(axis=0)[:, None], tiny)
+        else:
+            D *= (((power(B, beta - 2.0) * Z) @ W.T)
+                  / np.maximum(B ** (beta - 1.0) @ W.T, tiny)) ** gamma
+            B = D @ W
+            W *= ((D.T @ (power(B, beta - 2.0) * Z))
+                  / np.maximum(D.T @ B ** (beta - 1.0), tiny)) ** gamma
         B = D @ W
         trace.append(objective(B))
-    return D, W, np.array(trace)
+    return D, W, np.array(trace), switched
+
+
+def floor_crossing_basis():
+    """A rank-4 product plus noise, on which a k=4 fit falls below the
+    quotient and Gram floors within its first few sweeps."""
+    rng = np.random.default_rng(13)
+    return (rng.uniform(0.0, 1.0, (40, 4)) @ rng.uniform(0.0, 1.0, (4, 30))
+            + rng.uniform(0.0, 0.5, (40, 30)))
+
+
+def _matches_temporaries(Z, beta, order) -> bool:
+    """Assert that one restart on Z, in the given memory order, has the
+    reference's bits; return whether the reference left the fast form."""
+    from subtask_forge.factorize import _run_restart
+
+    Z = np.asarray(Z, order=order)
+    opts = NmfOptions(seed=5, restarts=1, max_iter=30, tol=0.0)
+    D, W, trace, _ = _run_restart(Z, 4, beta, opts, 0)
+    D_ref, W_ref, trace_ref, switched = _restart_with_temporaries(Z, 4, beta, opts, 0)
+    assert D.tobytes() == D_ref.tobytes()
+    assert W.tobytes() == W_ref.tobytes()
+    assert trace.tobytes() == trace_ref.tobytes()
+    return switched
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_restart_work_arrays_match_temporaries(beta, order):
+    # a solved basis is Fortran-ordered; CSV-read ones are C-ordered. This
+    # fit stays above the quotient and Gram floors for its 30 sweeps
+    assert not _matches_temporaries(random_positive((40, 30), seed=13), beta, order)
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0])
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_restart_work_arrays_match_temporaries(beta, order):
-    from subtask_forge.factorize import _run_restart
-
-    # a solved basis is Fortran-ordered; CSV-read ones are C-ordered
-    Z = np.asarray(random_positive((40, 30), seed=13), order=order)
-    opts = NmfOptions(seed=5, restarts=1, max_iter=30, tol=0.0)
-    D, W, trace, _ = _run_restart(Z, 4, beta, opts, 0)
-    D_ref, W_ref, trace_ref = _restart_with_temporaries(Z, 4, beta, opts, 0)
-    assert D.tobytes() == D_ref.tobytes()
-    assert W.tobytes() == W_ref.tobytes()
-    assert trace.tobytes() == trace_ref.tobytes()
+def test_restart_below_the_floors_matches_temporaries(beta, order):
+    # this fit leaves the quotient and Gram forms, so the exact phase and
+    # the switch into it are compared bit for bit too
+    assert _matches_temporaries(floor_crossing_basis(), beta, order)
 
 
 def test_kl_guard_switches_once_and_keeps_the_exact_fit_floor(monkeypatch):

@@ -15,6 +15,7 @@ from conftest import (
     singular_on_both_solvers,
 )
 from subtask_forge import lmdp_core
+from subtask_forge.domains import RingSpec, build_ring
 from subtask_forge.errors import ConvergenceError, SingularSystemError
 from subtask_forge.lmdp_core import (
     Lmdp,
@@ -133,6 +134,24 @@ def test_nonuniform_rewards_batch_matches_loop(monkeypatch):
             sys_.solve(QB)
         np.testing.assert_allclose(sys_.solve(QB, q_floor=1e-3)[:, 5],
                                    solve_finite_exit(L, np.full(2, 1e-3)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("dense_max", [lmdp_core.DENSE_MAX_STATES, 0])
+def test_residual_check_names_the_perturbed_task(dense_max):
+    # tasks 3-7 of the ring's uniform basis as one block; moving one solved
+    # column by 1e-8 relative leaves it positive but off the fixed point
+    L = build_ring(RingSpec(12))
+    with mock.patch.object(lmdp_core, "DENSE_MAX_STATES", dense_max):
+        sys_ = lmdp_core._FiniteExitSystem(L)
+    Q = np.full((L.n_boundary, 5), DEFAULT_Q_FLOOR)
+    Q[3:8] += np.eye(5) * (1.0 - DEFAULT_Q_FLOOR)
+    b = L.dynamics.bi.t_dot(Q) * sys_.g[:, None]
+    z = sys_.lu_solve(b)
+    sys_.check(z, b, 3)
+    z[:, 2] *= 1.0 + 1e-8
+    with pytest.raises(SingularSystemError,
+                       match=r"^task 5: fixed-point residual \S+ exceeds tolerance"):
+        sys_.check(z, b, 3)
 
 
 def test_validate_clean():
