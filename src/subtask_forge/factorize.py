@@ -24,14 +24,16 @@ and from the cancellation-free terms once it falls below:
   scale takes mean(D @ W) from the factors' sums, and the baseline
   divergence is summed over row blocks of Z.
 
-Restarts are independent. A fit of more than one restart on a Z of at least
-``fileio._FORK_MIN_ENTRIES`` (2**16) entries runs BLAS at one thread, and a
-forked child fits the second half of its restarts while this process fits
-the first, when the process may run on more than one CPU. So such a fit has
-the same bits on one CPU as on two. Should the fork or the child fail, this
-process fits that half too. Without an OpenBLAS thread setter among the
-loaded libraries, and for smaller or single-restart fits, every restart
-runs here at the default BLAS thread count.
+Restarts are independent. A fit of more than one restart whose work,
+``Z.size * max_iter`` entry-sweeps, reaches ``_SPLIT_MIN_WORK`` (2**18)
+runs BLAS at one thread, and a forked child fits the second half of its
+restarts while this process fits the first, when the process may run on
+more than one CPU. Should the fork or the child fail, this process fits
+that half too. Without an OpenBLAS thread setter among the loaded
+libraries every restart runs here, at the default BLAS thread count;
+single-restart and smaller fits run here at that count too. OpenBLAS's
+products give the same bits at one thread as at two, so every fit has the
+same bits on one CPU as on two.
 """
 
 from __future__ import annotations
@@ -382,55 +384,36 @@ def _best_of(Z, k, beta, opts, restarts):
     return min(((r, _run_restart(Z, k, beta, opts, r)) for r in restarts), key=_rank)
 
 
-@functools.cache
-def _blas_threads():
-    """(get, set) of the loaded OpenBLAS's thread count, or None if not found."""
-    import ctypes  # loaded by numpy already
-
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                     "openblas_set_num_threads"):
-            getter = getattr(lib, name.replace("_set_", "_get_"), None)
-            if getter is not None and hasattr(lib, name):
-                setter = getattr(lib, name)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
-    return None
+#: Least work, in entry-sweeps (``Z.size * max_iter``), of a multi-restart
+#: fit whose second half of restarts a forked child fits. A split costs
+#: 2.4-3.1 ms bare and about 8 ms inside ``select_k``; a serial sweep costs
+#: 25-35 us of calls on a small basis, more on a large one. Two-restart KL
+#: fits at tol 0, in process on 2 cores, median ms serial / split (split
+#: faster in): taxi 125 x 125 at 2^17 2.4 / 6.6 (3 of 15), 2^18 8.3 / 9.6
+#: (5 of 15), 2^19 15.9 / 12.9 (13 of 15); random 36 x 36 at 2^17 9.1 /
+#: 9.0 (8 of 15), 2^18 13.5 / 11.3 (15 of 15); 5 x 125 at 2^17 14.1 / 11.2
+#: (14 of 15). So a split pays on every shape from about 2^18 and on small
+#: bases a little below; taxi's 300-sweep fits (4.7 * 10^6) split.
+_SPLIT_MIN_WORK = 1 << 18
 
 
 def _fit_restarts(Z, k, beta, opts):
     """(r, run) of the best of ``opts.restarts`` restarts, as the module
-    docstring says: above the floor at one BLAS thread, and the second half
-    fitted by a forked child through :func:`fileio.split_work`, which refits
-    that half here should the child fail. The thread count is restored on
-    every path.
+    docstring says: a multi-restart fit of at least ``_SPLIT_MIN_WORK``
+    runs at one BLAS thread, its second half fitted by a forked child
+    through :func:`fileio.split_work`, which refits that half here should
+    the child fail.
     """
-    threads = _blas_threads() if opts.restarts > 1 and Z.size >= fileio._FORK_MIN_ENTRIES else None
-    if threads is None:
+    if opts.restarts < 2 or Z.size * opts.max_iter < _SPLIT_MIN_WORK:
         return _best_of(Z, k, beta, opts, range(opts.restarts))
-    get_threads, set_threads = threads
     half = (opts.restarts + 1) // 2
-    before = get_threads()
-    set_threads(1)  # two processes at two threads each oversubscribe two cores
-    try:
-        if not fileio._spare_cpu():
+    with fileio.one_blas_thread() as one_thread:
+        if not (one_thread and fileio._spare_cpu()):
             return _best_of(Z, k, beta, opts, range(opts.restarts))
         halves = fileio.split_work(
             functools.partial(_best_of, Z, k, beta, opts, range(half)),
             functools.partial(_best_of, Z, k, beta, opts, range(half, opts.restarts)))
-        return min(halves, key=_rank)
-    finally:
-        set_threads(before)
+    return min(halves, key=_rank)
 
 
 def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factorization:

@@ -36,6 +36,7 @@ and ``factorize``'s restarts share.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -144,6 +145,56 @@ def write_matrix_csv(path: str | Path, matrix) -> None:
 def _spare_cpu() -> bool:
     """True if this process may run on more than one CPU (Linux only)."""
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, or None if not found."""
+    import ctypes  # loaded by numpy already
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if getter is not None and hasattr(lib, name):
+                setter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with the loaded OpenBLAS at one thread; yields whether it is.
+
+    OpenBLAS splits some kernels (the LU behind ``np.linalg.inv``) by its
+    thread count, and their bits with them, so a result computed here has
+    the same bits on any number of CPUs. Two split processes at two threads
+    each would also oversubscribe two cores. Without a thread setter among
+    the loaded libraries the body runs at the default count and this yields
+    False. The count is restored on every path.
+    """
+    threads = _blas_threads()
+    if threads is None:
+        yield False
+        return
+    get_threads, set_threads = threads
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(before)
 
 
 def split_work(first, second, redo=None):

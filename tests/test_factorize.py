@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHILD_FAILURES, benchmark_rooms, inject, write_factorization
-from subtask_forge import factorize
+from subtask_forge import factorize, fileio
 from subtask_forge.errors import FactorRankError, NonFiniteResultError
 from subtask_forge.factorize import (
     Factorization,
@@ -563,9 +563,9 @@ def test_refit_beats_appending_a_column():
 
 
 #: Without an OpenBLAS thread setter every fit runs in one process.
-needs_blas_setter = pytest.mark.skipif(factorize._blas_threads() is None,
+needs_blas_setter = pytest.mark.skipif(fileio._blas_threads() is None,
                                        reason="no OpenBLAS thread setter in this process")
-ABOVE_FLOOR = random_positive((256, 256), seed=11)  # exactly the floor
+ABOVE_FLOOR = random_positive((256, 256), seed=11)  # 4 sweeps: exactly the floor
 SPLIT_OPTS = NmfOptions(seed=0, restarts=5, max_iter=4, tol=0.0)  # best: restart 3
 
 
@@ -594,22 +594,45 @@ def test_split_restarts_match_one_cpu_bits(rooms_Z, two_cpus, monkeypatch):
 
 
 @needs_blas_setter
+def test_small_basis_splits_with_the_bits_of_a_serial_fit(taxi_Z, two_cpus, monkeypatch):
+    # taxi-scan's fits: 125 x 125 is below the old 2^16-entry floor, but 300
+    # sweeps make 4.7e6 entry-sweeps of work, far above the floor
+    opts = NmfOptions(seed=1, restarts=2, max_iter=300, tol=0.0)
+    split = nmf(taxi_Z, 5, 1.0, opts)
+    assert taxi_Z.shape == (125, 125) and len(two_cpus) == 1
+    alone = one_cpu_fit(monkeypatch, taxi_Z, 5, opts)
+    get_threads, set_threads = fileio._blas_threads()
+    before = get_threads()
+    set_threads(3)
+    try:
+        with monkeypatch.context() as m:  # no setter: serial at three threads
+            m.setattr(fileio, "_blas_threads", lambda: None)
+            serial = nmf(taxi_Z, 5, 1.0, opts)
+        assert get_threads() == 3
+    finally:
+        set_threads(before)
+    assert len(two_cpus) == 1
+    assert_same_fit(split, alone)
+    assert_same_fit(split, serial)
+
+
+@needs_blas_setter
 @pytest.mark.parametrize("Z,restarts,cpus,expected", [
     (ABOVE_FLOOR, 2, {0, 1}, 1),
-    (ABOVE_FLOOR[:, :255], 5, {0, 1}, 0),  # one column below the floor
+    (ABOVE_FLOOR[:, :255], 5, {0, 1}, 0),  # one column's work below the floor
     (ABOVE_FLOOR, 1, {0, 1}, 0),
     (ABOVE_FLOOR, 5, {0}, 0),
 ])
 def test_fork_only_above_floor_with_restarts_and_a_spare_cpu(two_cpus, monkeypatch, Z,
                                                              restarts, cpus, expected):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    nmf(Z, 3, 1.0, NmfOptions(seed=0, restarts=restarts, max_iter=2))
+    nmf(Z, 3, 1.0, NmfOptions(seed=0, restarts=restarts, max_iter=4))
     assert len(two_cpus) == expected
 
 
 @needs_blas_setter
 def test_blas_runs_at_one_thread_only_in_multi_restart_fits(two_cpus, monkeypatch):
-    get_threads, set_threads = factorize._blas_threads()
+    get_threads, set_threads = fileio._blas_threads()
     seen = []
     real_run = factorize._run_restart
 
@@ -625,7 +648,7 @@ def test_blas_runs_at_one_thread_only_in_multi_restart_fits(two_cpus, monkeypatc
         assert seen == [1] * SPLIT_OPTS.restarts and get_threads() == 3
         seen.clear()
         nmf(ABOVE_FLOOR, 3, 1.0, NmfOptions(restarts=1, max_iter=2))
-        nmf(ABOVE_FLOOR[:, :255], 3, 1.0, NmfOptions(restarts=2, max_iter=2))
+        nmf(ABOVE_FLOOR[:, :255], 3, 1.0, NmfOptions(restarts=2, max_iter=4))
         assert seen == [3, 3, 3] and get_threads() == 3
     finally:
         set_threads(before)
@@ -642,7 +665,7 @@ def test_failed_child_half_is_fitted_by_parent(two_cpus, monkeypatch, attr, fail
 
 @needs_blas_setter
 def test_failed_parent_half_kills_and_reaps_the_child(two_cpus, monkeypatch):
-    get_threads, _ = factorize._blas_threads()
+    get_threads, _ = fileio._blas_threads()
     before = get_threads()
     parent = os.getpid()
     real_run = factorize._run_restart
