@@ -243,26 +243,32 @@ def _lu_of_i_minus(P: Triplets, singular, g: np.ndarray | None = None):
     ``A = I - T`` for ``T = diag(g) P^T`` (g None: ``P^T``), P square.
 
     Up to ``DENSE_MAX_STATES`` states A is a dense array, inverted once by
-    numpy's LU, and a solve multiplies each column by the inverse; above, A is
-    a scipy CSC matrix factored once by ``splu``. Either way A exists only
-    while it is factored: the function holds the inverse or the LU factors.
-    A singular system raises SingularSystemError with the message
-    ``singular()``, built only then.
+    numpy's LU, and a solve multiplies each column by the inverse, both at
+    one BLAS thread (:func:`fileio.one_blas_thread`): OpenBLAS's LU, and its
+    products at 900 states, round by the thread count, so Z would hang on
+    the CPU count. Above, A is a scipy CSC matrix factored once by
+    ``splu``. Either way A exists only while it is factored: the function
+    holds the inverse or the LU factors. A singular system raises
+    SingularSystemError with the message ``singular()``, built only then.
     """
     n = P.shape[0]
     t = P.vals if g is None else g[P.cols] * P.vals
     if n <= DENSE_MAX_STATES:
+        from . import fileio
+
         A = np.eye(n)
         A[P.cols, P.rows] -= t
         try:
-            inverse = np.linalg.inv(A)
+            with fileio.one_blas_thread():
+                inverse = np.linalg.inv(A)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(singular()) from exc
 
         def solve(b):
             # one product per column: the edge tiles of a matrix product round
             # differently, and a task's bits must not hang on its place in b
-            return np.matmul(inverse, b.T[..., None])[..., 0].T
+            with fileio.one_blas_thread():
+                return np.matmul(inverse, b.T[..., None])[..., 0].T
 
         return solve
     from scipy import sparse

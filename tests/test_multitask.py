@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import LAM, R_STEP, TWIN_WEIGHT, benchmark_taxi
-from subtask_forge import lmdp_core
+from conftest import LAM, R_STEP, TWIN_WEIGHT, benchmark_rooms, benchmark_taxi
+from subtask_forge import fileio, lmdp_core
 from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
 from subtask_forge.errors import SingularSystemError
 from subtask_forge.lmdp_core import solve_finite_exit
@@ -68,6 +68,28 @@ def test_q_floor_is_applied(small_rooms):
     q = np.full(36, 1e-6)
     q[0] = 1.0
     np.testing.assert_allclose(b[:, 0], solve_finite_exit(L, q), rtol=1e-12)
+
+
+@pytest.mark.skipif(fileio._blas_threads() is None,
+                    reason="no OpenBLAS thread setter in this process")
+@pytest.mark.parametrize("make", [benchmark_taxi, lambda: benchmark_rooms(2, 2, 3),
+                                  lambda: benchmark_rooms(6, 6, 5)],
+                         ids=["taxi", "rooms 2x2x3", "rooms 6x6x5"])
+def test_dense_solve_has_the_same_bits_at_any_blas_thread_count(make):
+    L = make()
+    assert L.n_interior <= lmdp_core.DENSE_MAX_STATES
+    get_threads, set_threads = fileio._blas_threads()
+    before = get_threads()
+    bases = []
+    try:
+        for threads in (3, 2, 1):
+            set_threads(threads)
+            bases.append(solve_task_basis(L))
+            assert get_threads() == threads
+    finally:
+        set_threads(before)
+    for Z in bases[:2]:
+        assert np.array_equal(Z, bases[2])
 
 
 @pytest.mark.parametrize("block_entries", [lmdp_core.SOLVE_BLOCK_ENTRIES, 4])
