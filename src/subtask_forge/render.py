@@ -26,12 +26,14 @@ CELL = 16
 PAD = 8
 
 
-def _fill(v: float) -> str:
-    v = min(max(float(v), 0.0), 1.0)
-    r = round(255 + (_DARK[0] - 255) * v)
-    g = round(255 + (_DARK[1] - 255) * v)
-    b = round(255 + (_DARK[2] - 255) * v)
-    return f"rgb({r},{g},{b})"
+def _fills(values) -> list[str]:
+    """The fill of each value, white at 0 to ``_DARK`` at 1, clipped to [0, 1].
+
+    Each channel is rounded half to even by ``np.round``, as ``round`` does.
+    """
+    v = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)[:, None]
+    rgb = np.round(255 + (np.array(_DARK) - 255) * v).astype(int)
+    return [f"rgb({r},{g},{b})" for r, g, b in rgb.tolist()]
 
 
 def _svg(width: int, height: int, body: list[str]) -> str:
@@ -47,11 +49,12 @@ def _rect(x, y, w, h, fill) -> str:
 
 
 def _grid_rects(values, rows, cols, x0, y0) -> list[str]:
+    fills = _fills(values)
     out = []
     for r in range(rows):
         for c in range(cols):
             out.append(_rect(
-                x0 + c * CELL, y0 + r * CELL, CELL, CELL, _fill(values[r * cols + c])
+                x0 + c * CELL, y0 + r * CELL, CELL, CELL, fills[r * cols + c]
             ))
     return out
 
@@ -99,8 +102,8 @@ def render_ring_svg(spec: RingSpec, column) -> str:
     values = _normalize(column, spec.n)
     cell = max(3, min(CELL, 1024 // spec.n))
     body = [
-        _rect(PAD + i * cell, PAD, cell, 3 * cell, _fill(values[i]))
-        for i in range(spec.n)
+        _rect(PAD + i * cell, PAD, cell, 3 * cell, fill)
+        for i, fill in enumerate(_fills(values))
     ]
     return _svg(2 * PAD + spec.n * cell, 2 * PAD + 3 * cell, body)
 

@@ -3,6 +3,8 @@ import pytest
 
 from subtask_forge.domains import DomainConfig, RingSpec, RoomsSpec, TaxiSpec
 from subtask_forge.render import (
+    _DARK,
+    _fills,
     render_column_svg,
     render_factorization_files,
     render_ring_svg,
@@ -20,6 +22,22 @@ def test_rooms_svg_structure():
     # max-valued cell is fully dark, zero cell is white
     assert 'fill="rgb(8,48,107)"' in svg
     assert 'fill="rgb(255,255,255)"' in svg
+
+
+def loop_fill(v: float) -> str:
+    """The fill of one value, one channel at a time: the reference for _fills."""
+    v = min(max(float(v), 0.0), 1.0)
+    r, g, b = (round(255 + (dark - 255) * v) for dark in _DARK)
+    return f"rgb({r},{g},{b})"
+
+
+def test_fills_match_the_per_value_reference():
+    # 0.5 puts two channels on exact halves (131.5, 151.5): both round to even
+    values = np.concatenate([[-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0],
+                             np.arange(1025) / 1024,
+                             np.random.default_rng(3).uniform(0.0, 1.0, 4000)])
+    assert _fills(values) == [loop_fill(v) for v in values]
+    assert _fills([0.5]) == ["rgb(132,152,181)"]
 
 
 def test_taxi_svg_has_one_panel_per_passenger_state():
