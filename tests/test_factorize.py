@@ -296,6 +296,27 @@ def test_kl_guard_switches_once_and_keeps_the_exact_fit_floor(monkeypatch):
     assert F.divergence_trace[-1] < 1e-25
 
 
+def test_kl_value_leaves_the_quotient_form_for_the_rest_of_the_restart(monkeypatch):
+    sums = []  # per recorded value: the sum_Z passed in, and the form returned
+    objective = factorize._objective
+
+    def recording(*args):
+        d, quotient = objective(*args)
+        sums.append((args[-1], quotient))
+        return d, quotient
+
+    monkeypatch.setattr(factorize, "_objective", recording)
+    rng = np.random.default_rng(1)
+    Z = rng.uniform(0.0, 1.0, (20, 4)) @ rng.uniform(0.0, 1.0, (4, 16))
+    nmf(Z, 4, 1.0, NmfOptions(seed=0, restarts=1, max_iter=400, tol=0.0))
+    switch = [quotient for _, quotient in sums].index(False)
+    assert switch > 0 and len(sums) > switch + 1
+    # past the floor the quotient form is no longer even tried: no divide and
+    # log over n x N that would only be thrown away
+    assert all(sum_Z is not None for sum_Z, _ in sums[:switch + 1])
+    assert all(sum_Z is None for sum_Z, _ in sums[switch + 1:])
+
+
 @pytest.mark.parametrize("basis,k", [("rooms_Z", 16), ("taxi_Z", 5)])
 def test_kl_trace_matches_beta_divergence(request, basis, k):
     from subtask_forge.factorize import _QUOTIENT_FLOOR
