@@ -385,15 +385,14 @@ def _best_of(Z, k, beta, opts, restarts):
 
 
 #: Least work, in entry-sweeps (``Z.size * max_iter``), of a multi-restart
-#: fit whose second half of restarts a forked child fits. A split costs
-#: 2.4-3.1 ms bare and about 8 ms inside ``select_k``; a serial sweep costs
-#: 25-35 us of calls on a small basis, more on a large one. Two-restart KL
-#: fits at tol 0, in process on 2 cores, median ms serial / split (split
-#: faster in): taxi 125 x 125 at 2^17 2.4 / 6.6 (3 of 15), 2^18 8.3 / 9.6
-#: (5 of 15), 2^19 15.9 / 12.9 (13 of 15); random 36 x 36 at 2^17 9.1 /
-#: 9.0 (8 of 15), 2^18 13.5 / 11.3 (15 of 15); 5 x 125 at 2^17 14.1 / 11.2
-#: (14 of 15). So a split pays on every shape from about 2^18 and on small
-#: bases a little below; taxi's 300-sweep fits (4.7 * 10^6) split.
+#: fit whose second half of restarts a forked child fits. A split adds
+#: about 4.5 ms (taxi at 3 sweeps: 1.2 ms serial, 5.7 split). Two-restart
+#: KL fits at tol 0 on 2 cores, median ms serial / split (split faster in
+#: n of 15):
+#: taxi 125 x 125 at 2^17 2.4 / 6.6 (3), 2^18 8.3 / 9.6 (5), 2^19 15.9 /
+#: 12.9 (13); random 36 x 36 at 2^17 9.1 / 9.0 (8), 2^18 13.5 / 11.3 (15);
+#: 5 x 125 at 2^17 14.1 / 11.2 (14). The taxi basis breaks even near 2^18;
+#: small ones, where per-sweep call costs dominate, gain a little below it.
 _SPLIT_MIN_WORK = 1 << 18
 
 

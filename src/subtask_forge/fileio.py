@@ -58,8 +58,8 @@ import numpy as np
 #: and appending the part about 0.5 ms per MB. A random 128^2 matrix wrote
 #: in 11.8 ms split against 11.2 ms in one process, 256^2 (this floor) in
 #: 28.7 against 31.1 ms, 1600^2 in 0.73 against 1.18 s. A 125^2 taxi basis
-#: stays in one process. The reader splits its parse, and ``factorize`` its
-#: NMF restarts, from the same floor, where each still gains more.
+#: stays in one process. The reader splits its parse from the same floor,
+#: where it still gains more.
 _FORK_MIN_ENTRIES = 1 << 16
 
 #: Entries formatted per write, across rows or within one. The formatter's
