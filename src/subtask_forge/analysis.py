@@ -8,8 +8,6 @@ and do subtasks line up with known domain regions (assignment purity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .factorize import Factorization
@@ -79,17 +77,6 @@ def boundary_score(F: Factorization, L: Lmdp) -> np.ndarray:
     return g
 
 
-def assignment_purity(F: Factorization, labels) -> float:
-    """Fraction of states whose strongest subtask agrees with the majority label.
-
-    Each interior state joins the cluster of its largest normalized D entry
-    (ties to the lowest subtask index); purity sums each cluster's majority
-    label count and divides by the number of states. Acceptance criteria 7
-    and 8 read this number; ``analyze`` writes the full report.
-    """
-    return purity_report(F, labels)["purity"]
-
-
 def purity_report(F: Factorization, labels) -> dict:
     """Purity plus cluster sizes and the cluster-by-label confusion matrix."""
     D = np.asarray(F.D, dtype=float)
@@ -111,45 +98,6 @@ def purity_report(F: Factorization, labels) -> dict:
         "cluster_sizes": confusion.sum(axis=1).tolist(),
         "confusion": confusion.tolist(),
     }
-
-
-@dataclass(frozen=True, eq=False)
-class SpreadSummary:
-    per_column: np.ndarray
-    mean: float
-
-
-def circular_spread(D, n_positions: int | None = None) -> SpreadSummary:
-    """Circular standard deviation of each column's mass over ring positions.
-
-    Treats column entries as weights on positions 0..n-1 of a ring and
-    computes sqrt(-2 ln R) per column, R being the mean resultant length.
-    Near-point masses give ~0; uniform spread gives large values. No
-    command reports it; acceptance criterion 10 reads it per ring level.
-    """
-    D = np.asarray(D, dtype=float)
-    if D.ndim != 2:
-        raise ValueError(f"D must be 2-D, got ndim={D.ndim}")
-    n = D.shape[0] if n_positions is None else int(n_positions)
-    if n != D.shape[0]:
-        raise ValueError(f"D has {D.shape[0]} rows, expected {n} ring positions")
-    Dn = _l1_columns(D)
-    angles = 2.0 * np.pi * np.arange(n) / n
-    resultant = np.abs(np.exp(1j * angles) @ Dn)
-    resultant = np.clip(resultant, np.finfo(float).tiny, 1.0)
-    spread = np.sqrt(np.maximum(-2.0 * np.log(resultant), 0.0))
-    spread.setflags(write=False)
-    return SpreadSummary(per_column=spread, mean=float(spread.mean()))
-
-
-def top_scoring_states(g, count: int) -> np.ndarray:
-    """Indices of the ``count`` largest scores, best first, stable for ties;
-    acceptance criterion 9 ranks the doorway scores with it."""
-    g = np.asarray(g, dtype=float)
-    if not 0 <= count <= g.size:
-        raise ValueError(f"count must lie in [0, {g.size}], got {count}")
-    order = np.argsort(-g, kind="stable")
-    return order[:count]
 
 
 def write_boundary_scores(path, g) -> None:

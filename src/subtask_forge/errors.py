@@ -19,10 +19,6 @@ class SingularSystemError(SubtaskForgeError):
     """
 
 
-class ConvergenceError(SubtaskForgeError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class NonFiniteResultError(SubtaskForgeError):
     """A computation ended in an infinite or NaN value.
 
@@ -46,7 +42,6 @@ class AlphaRangeError(SubtaskForgeError, ValueError):
 #: Failures that the CLI reports as "numerical failure" (exit code 3).
 NUMERICAL_ERRORS = (
     SingularSystemError,
-    ConvergenceError,
     NonFiniteResultError,
     FactorRankError,
 )

@@ -74,42 +74,15 @@ def _omlp(t, num, den, scratch=None):
     return t
 
 
-def beta_divergence(A, B, beta: float) -> float:
+def _divergence(A, B, beta: float, s1=None, s2=None) -> float:
     """Elementwise beta-divergence d_beta(A || B), summed over all entries.
 
-    A must be nonnegative (strictly positive when beta <= 0); B strictly
-    positive when beta <= 1. Shapes must match. Fits use fused forms of
-    it; this direct sum is the reference the tests hold their traces to.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    if np.any(A < 0) or not np.all(np.isfinite(A)):
-        raise ValueError("first argument must be finite and nonnegative")
-    if not np.all(np.isfinite(B)):
-        raise ValueError("second argument must be finite")
-    if beta <= 0 and np.any(A <= 0):
-        raise ValueError(f"beta={beta:g} requires a strictly positive first argument")
-    if beta <= 1:
-        if np.any(B <= 0):
-            raise ValueError(f"beta={beta:g} requires a strictly positive second argument")
-    elif np.any(B < 0):
-        raise ValueError("second argument must be nonnegative")
-    if beta == 1:
-        pos = A > 0
-        if not pos.all():  # a zero entry of A contributes B there
-            return float(B[~pos].sum()) + _divergence(A[pos], B[pos], beta)
-    return _divergence(A, B, beta)
-
-
-def _divergence(A, B, beta: float, s1=None, s2=None) -> float:
-    """d_beta(A || B) on inputs that meet :func:`beta_divergence`'s conditions.
-
-    For beta = 1 every entry of A must be strictly positive. ``s1`` and
-    ``s2`` are optional work arrays of A's shape that receive the
-    elementwise terms (beta = 2 uses ``s1`` only); without them each term
-    is a fresh array. Neither A nor B is written.
+    Nothing is checked here: A and B must be finite, nonnegative and of one
+    shape, A strictly positive when beta <= 0 or beta = 1, and B strictly
+    positive when beta <= 1. ``s1`` and ``s2`` are optional work arrays of
+    A's shape that receive the elementwise terms (beta = 2 uses ``s1``
+    only); without them each term is a fresh array. Neither A nor B is
+    written.
     """
     if beta == 2:
         t = np.subtract(A, B, out=s1)

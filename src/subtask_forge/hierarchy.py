@@ -192,21 +192,6 @@ def build_hierarchy(L: Lmdp, k_schedule, alpha_schedule, beta: float = 1.0,
     )
 
 
-def grounded_subtasks(H: HierarchicalMlmdp, level: int) -> np.ndarray:
-    """Level ``level`` subtask footprints expressed over base interior states.
-
-    The column-stochastic product ``d_hat_0 @ ... @ d_hat_level`` of the
-    normalized footprints of the levels up to ``level``. No command writes
-    it; acceptance criterion 10 measures the spread of each level with it.
-    """
-    if not 0 <= level < H.depth:
-        raise ValueError(f"level must lie in [0, {H.depth - 1}], got {level}")
-    G = H.layers[0].d_hat.copy()
-    for layer in H.layers[1:level + 1]:
-        G = G @ layer.d_hat
-    return G
-
-
 def write_hierarchy_files(dir_path, H: HierarchicalMlmdp) -> None:
     for layer in H.layers:
         level_dir = os.path.join(dir_path, f"level_{layer.level}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularSystemError
+from .errors import SingularSystemError
 
 #: Tolerance on column sums of passive dynamics.
 STOCHASTIC_TOL = 1e-12
@@ -371,54 +371,6 @@ class _FiniteExitSystem:
             msg = (f"fixed-point residual {res[t]:g} exceeds tolerance; system is "
                    f"ill-conditioned (estimated spectral radius {self._spectral_radius():.6g})")
         raise SingularSystemError(f"task {first + t}: {msg}")
-
-
-def _check_q_b(L: Lmdp, q_b) -> np.ndarray:
-    q = np.asarray(q_b, dtype=float).reshape(-1)
-    if q.shape != (L.n_boundary,):
-        raise ValueError(f"q_b has {q.size} entries, expected {L.n_boundary}")
-    if not np.all(np.isfinite(q)) or np.any(q <= 0):
-        raise ValueError("q_b entries must be strictly positive and finite")
-    return q
-
-
-def solve_finite_exit(L: Lmdp, q_b) -> np.ndarray:
-    """Desirability vector over interior states for boundary rewards ``q_b``.
-
-    ``q_b`` holds exponentiated boundary rewards (strictly positive). The
-    result satisfies the desirability fixed point with max-norm residual at
-    most ``RESIDUAL_TOL`` (relative for large solutions).
-
-    Raises ``SingularSystemError`` when the reward-weighted interior dynamics
-    are not contractive, ``ValueError`` on non-positive ``q_b``. No command
-    solves one task; acceptance criteria 1 and 2 check the solver with it.
-    """
-    q = _check_q_b(L, q_b)
-    return _FiniteExitSystem(L).solve(q[:, None])[:, 0]
-
-
-def solve_iterative(L: Lmdp, q_b, tol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:
-    """Fixed-point iteration oracle for :func:`solve_finite_exit`.
-
-    Repeats ``z <- g * (P_ii^T z + P_bi^T q_b)`` from ``z = 1`` until the
-    max-norm change drops below ``tol``. Kept as acceptance criterion 1's
-    independent cross-check; the direct solver is the production path.
-    """
-    q = _check_q_b(L, q_b)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    g = L.exp_rewards()
-    c = L.dynamics.bi.t_dot(q)
-    z = np.ones(L.n_interior)
-    for _ in range(max_iter):
-        z_new = g * (L.dynamics.ii.t_dot(z) + c)
-        delta = np.max(np.abs(z_new - z)) if z.size else 0.0
-        z = z_new
-        if delta < tol:
-            return z
-    raise ConvergenceError(
-        f"fixed-point iteration did not reach tol={tol:g} after {max_iter} iterations"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Task ensembles over one LMDP: basis construction, batch solving, composition.
+"""Task ensembles over one LMDP: the task basis and its batch solve.
 
 The task basis Q stacks exponentiated boundary rewards, one column per task.
 Solving every task against shared passive dynamics yields the desirability
 basis Z; because the underlying system is linear, any nonnegative blend
-q = Qw solves to z = Zw, which is what :func:`compose` exploits.
+q = Qw solves to z = Zw.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ DEFAULT_Q_FLOOR = 1e-12
 
 def build_uniform_task_basis(L: Lmdp) -> np.ndarray:
     """One goal task per boundary state: Q is the n_boundary identity. Commands
-    solve it unformed; tests check that path against it, microbench times it."""
+    solve it unformed. It stays while the benchmark's microbench times the
+    solve of this explicit identity; once that times ``solve_task_basis(L)``,
+    it and the ``Q`` argument can go (ROADMAP item 1)."""
     return np.eye(L.n_boundary)
 
 
@@ -68,32 +70,3 @@ def solve_task_basis(L: Lmdp, Q=None, q_floor: float = DEFAULT_Q_FLOOR, out=None
     if not 0 < q_floor < 1e-3:
         raise ValueError(f"q_floor must lie in (0, 1e-3), got {q_floor}")
     return _FiniteExitSystem(L).solve(Q, q_floor, out)
-
-
-def compose(Q, Z, q):
-    """Express a boundary reward as a nonnegative blend of basis tasks.
-
-    Returns ``(w, z)`` where ``w`` minimizes ``||Qw - q||_2`` subject to
-    ``w >= 0`` and ``z = Z @ w`` is the blended desirability. When ``q`` lies
-    in the nonnegative column span of Q the residual is numerically zero and
-    ``z`` solves the LMDP for ``q`` exactly (linearity of the solve).
-    No command composes tasks: this is the paper's blend law (acceptance
-    criterion 2) as a library call.
-    """
-    Q = np.asarray(Q, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if Q.ndim != 2:
-        raise ValueError(f"Q must be 2-D, got ndim={Q.ndim}")
-    if Z.ndim != 2 or Z.shape[1] != Q.shape[1]:
-        raise ValueError(
-            f"Z must have one column per task ({Q.shape[1]}), got shape {Z.shape}"
-        )
-    if q.shape != (Q.shape[0],):
-        raise ValueError(f"q has {q.size} entries, expected {Q.shape[0]}")
-    if np.any(q < 0) or not np.all(np.isfinite(q)):
-        raise ValueError("q entries must be finite and nonnegative")
-    from scipy.optimize import nnls  # slow to import; deferred to its caller
-
-    w, _ = nnls(Q, q)
-    return w, Z @ w

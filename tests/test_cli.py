@@ -475,6 +475,16 @@ def test_impossible_rank_exits_3(ws, tmp_path):
     assert "k must lie in" in result.stderr
 
 
+def test_non_finite_fit_exits_3(tmp_path):
+    # the entries span more than the KL fit can carry: its value overflows
+    (tmp_path / "Z.csv").write_text("2,2\n1.7e308,1.0\n2.0,3.0\n")
+    result = runner.invoke(main, ["factor", str(tmp_path / "Z.csv"), str(tmp_path / "f"),
+                                  "--k", "1"])
+    assert result.exit_code == 3
+    assert "not finite" in result.stderr
+    assert not (tmp_path / "f").exists()
+
+
 def test_alpha_out_of_range_exits_2(ws, tmp_path):
     result = runner.invoke(main, ["hierarchy", str(ws["domain"]),
                                   str(tmp_path / "h"), "--ks", "4,2",

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CHILD_FAILURES, benchmark_rooms, inject, write_factorization
+from reference import beta_divergence
 from subtask_forge import factorize, fileio
 from subtask_forge.errors import FactorRankError, NonFiniteResultError
 from subtask_forge.factorize import (
     Factorization,
     KSelection,
     NmfOptions,
-    beta_divergence,
     find_elbow,
     nmf,
     read_factorization,

@@ -21,6 +21,7 @@ from conftest import (
     singular_on_both_solvers,
     write_hierarchy,
 )
+from reference import grounded_subtasks
 from subtask_forge import lmdp_core
 from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
 from subtask_forge.errors import AlphaRangeError
@@ -30,7 +31,6 @@ from subtask_forge.hierarchy import (
     augment_with_subtasks,
     build_hierarchy,
     derive_higher_layer,
-    grounded_subtasks,
     normalized_columns,
 )
 from subtask_forge.lmdp_core import Lmdp, PassiveDynamics, StateSpace

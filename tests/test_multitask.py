@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import LAM, R_STEP, TWIN_WEIGHT, benchmark_rooms, benchmark_taxi
+from reference import compose
 from subtask_forge import fileio, lmdp_core
 from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
 from subtask_forge.errors import SingularSystemError
-from subtask_forge.lmdp_core import solve_finite_exit
 from subtask_forge.multitask import (
     DEFAULT_Q_FLOOR,
     build_uniform_task_basis,
     check_task_basis,
-    compose,
     solve_task_basis,
 )
 
@@ -41,7 +40,8 @@ def test_basis_columns_match_single_solves(small_rooms):
     for t in (0, 17, 35):
         q = np.full(L.n_boundary, DEFAULT_Q_FLOOR)
         q[t] = 1.0
-        np.testing.assert_allclose(Z[:, t], solve_finite_exit(L, q), rtol=1e-12)
+        np.testing.assert_allclose(Z[:, t], lmdp_core._FiniteExitSystem(L).solve(q[:, None])[:, 0],
+                                   rtol=1e-12)
 
 
 def test_goal_column_peaks_at_its_goal(small_rooms):
@@ -67,7 +67,8 @@ def test_q_floor_is_applied(small_rooms):
     assert not np.allclose(a, b)  # the floor is part of the solved reward
     q = np.full(36, 1e-6)
     q[0] = 1.0
-    np.testing.assert_allclose(b[:, 0], solve_finite_exit(L, q), rtol=1e-12)
+    np.testing.assert_allclose(b[:, 0], lmdp_core._FiniteExitSystem(L).solve(q[:, None])[:, 0],
+                               rtol=1e-12)
 
 
 @pytest.mark.skipif(fileio._blas_threads() is None,
@@ -148,7 +149,7 @@ def test_compose_blend_solves_blended_task(small_rooms):
     w_true = rng.uniform(0.1, 1.0, 36)
     _, z = compose(Q, Z, Q @ w_true)
     q_full = np.maximum(Q, DEFAULT_Q_FLOOR) @ w_true
-    direct = solve_finite_exit(L, q_full)
+    direct = lmdp_core._FiniteExitSystem(L).solve(q_full[:, None])[:, 0]
     np.testing.assert_allclose(z, direct, rtol=1e-9)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from subtask_forge.domains import build_domain, parse_domain_config
 from subtask_forge.fileio import write_matrix_csv
-from subtask_forge.multitask import build_uniform_task_basis, solve_task_basis
+from subtask_forge.multitask import solve_task_basis
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -66,7 +66,7 @@ def test_commands_without_sparse_matrices_load_no_scipy(tmp_path):
     spec = {"type": "rooms", "params": {"room_rows": 2, "room_cols": 2, "room_size": 2}}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     L = build_domain(parse_domain_config(spec))
-    write_matrix_csv(tmp_path / "Z.csv", solve_task_basis(L, build_uniform_task_basis(L)))
+    write_matrix_csv(tmp_path / "Z.csv", solve_task_basis(L))
     nmf_flags = ["--restarts", "1", "--max-iter", "20"]
     commands = {
         "factor": ["factor", "Z.csv", "fact", "--k", "4", *nmf_flags],
@@ -131,31 +131,25 @@ print(json.dumps({"all": subtask_forge.__all__}))
 
 
 def test_solvers_work_after_cold_import():
+    # a dense basis solve and a fit load no heavy scipy module; the matched
+    # distance is the one call here that loads them
     out = run_cold("""
-import numpy as np
 import subtask_forge.cli
 from subtask_forge.analysis import subtask_distance
 from subtask_forge.domains import RingSpec, build_ring
 from subtask_forge.factorize import NmfOptions, nmf
-from subtask_forge.multitask import build_uniform_task_basis, compose, solve_task_basis
-before = heavy()
-L = build_ring(RingSpec(8))
-Q = build_uniform_task_basis(L)
-Z = solve_task_basis(L, Q)
-w, z = compose(Q, Z, 2.0 * Q[:, 3])
+from subtask_forge.multitask import solve_task_basis
+cold = heavy()
+Z = solve_task_basis(build_ring(RingSpec(8)))
 F = nmf(Z, 2, 1.0, NmfOptions(max_iter=50, restarts=2, seed=0))
-print(json.dumps({
-    "before": before,
-    "after": heavy(),
-    "w_matches": bool(np.allclose(w, 2.0 * np.eye(Q.shape[1])[3])),
-    "z_matches": bool(np.allclose(z, 2.0 * Z[:, 3])),
-    "self_distance": subtask_distance(F, F),
-}))
+fitted = heavy()
+distance = subtask_distance(F, F)
+print(json.dumps({"cold": cold, "fitted": fitted, "matched": heavy(),
+                  "self_distance": distance}))
 """)
-    assert out["before"] == []
-    assert {"scipy.optimize", "scipy.sparse.linalg"} <= set(out["after"])
-    assert out["w_matches"]
-    assert out["z_matches"]
+    assert out["cold"] == []
+    assert out["fitted"] == []
+    assert {"scipy.optimize", "scipy.sparse.linalg"} <= set(out["matched"])
     assert out["self_distance"] < 1e-12
 
 
@@ -175,8 +169,7 @@ print(json.dumps({{"missing": [f"{{owner.__name__}}.{{attr}}"
 #: The only places the package imports scipy: each is slow to import, so it
 #: loads inside the one function that calls it, and the dynamics are numpy
 #: triplets everywhere else.
-SCIPY_IMPORTERS = {"lmdp_core._lu_of_i_minus", "multitask.compose",
-                   "analysis.subtask_distance"}
+SCIPY_IMPORTERS = {"lmdp_core._lu_of_i_minus", "analysis.subtask_distance"}
 
 
 def scipy_importers(node: ast.AST, where: str) -> set[str]:
@@ -205,20 +198,6 @@ def test_scipy_is_imported_only_where_it_is_called():
     assert found == SCIPY_IMPORTERS
 
 
-#: Public names that no command runs, kept as the references the tests
-#: check the package against, each with what it serves.
-TEST_REFERENCES = {
-    "solve_finite_exit": "criteria 1 and 2: the one-task solve",
-    "solve_iterative": "criterion 1: the iterative cross-check of the direct solve",
-    "compose": "criterion 2: the blend law as a library call",
-    "beta_divergence": "test_factorize: the reference divergence of every fit trace",
-    "assignment_purity": "criteria 7 and 8: subtask purity",
-    "top_scoring_states": "criterion 9: the doorway cells among the top scores",
-    "circular_spread": "criterion 10: the spread of the ring subtasks",
-    "grounded_subtasks": "criterion 10: each level's footprints over the base states",
-}
-
-
 def names_in_code(tree: ast.AST) -> set[str]:
     """Identifiers a module's code names: names, attributes, imported names
     and whole string constants (as attribute tables hold names). A name
@@ -238,24 +217,18 @@ def names_in_code(tree: ast.AST) -> set[str]:
 
 def test_every_public_definition_is_used():
     # a public top-level def or class must be a click command, be named in
-    # code by another module of the package or by the benchmark, be used in
-    # its own module, or be one of TEST_REFERENCES
+    # code by another module of the package or by the benchmark, or be used
+    # in its own module; an oracle that only tests call lives in
+    # tests/reference.py
     trees = {p: ast.parse(p.read_text()) for p in sorted((SRC / "subtask_forge").glob("*.py"))}
     names = {p: names_in_code(tree) for p, tree in trees.items()}
     bench = set().union(*(names_in_code(ast.parse(p.read_text()))
                           for p in (ROOT / "perfbench").glob("*.py")))
-    unused, referenced = [], set()
+    unused = []
     for path, tree in trees.items():
         elsewhere = bench.union(*(names[p] for p in trees if p != path))
-        for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.decorator_list
-                    or node.name in elsewhere or node.name in names[path]):
-                continue
-            if node.name in TEST_REFERENCES:
-                referenced.add(node.name)
-            else:
-                unused.append(f"{path.stem}.{node.name}")
+        unused += [f"{path.stem}.{node.name}" for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_") and not node.decorator_list
+                   and node.name not in elsewhere and node.name not in names[path]]
     assert unused == []
-    # an entry whose name is gone, or is now used, leaves the list
-    assert referenced == set(TEST_REFERENCES)
