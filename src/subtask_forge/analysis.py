@@ -69,7 +69,7 @@ def boundary_score(F: Factorization, L: Lmdp) -> np.ndarray:
             f"domain has {L.n_interior} interior and {L.n_boundary} boundary "
             "states; boundary scores need one boundary twin per interior state"
         )
-    P = L.dynamics.ii
+    P = L.P_ii
     diffs = W[:, P.rows] - W[:, P.cols]
     contrib = P.vals * np.square(diffs).sum(axis=0)
     g = np.bincount(P.cols, weights=contrib, minlength=L.n_interior)

@@ -19,8 +19,6 @@ import numpy as np
 
 from .lmdp_core import (
     Lmdp,
-    PassiveDynamics,
-    StateSpace,
     Triplets,
     _is_int,
     _is_number,
@@ -216,12 +214,7 @@ def _uniform_twin_lmdp(successors, labels, r_step, lam, twin_weight=None) -> Lmd
     P_ii = Triplets.canonical((n, n), rows, cols, vals)
     P_bi = Triplets.canonical((n, n), np.arange(n), np.arange(n), twin_p)
     all_labels = tuple(labels) + tuple(f"exit:{x}" for x in labels)
-    return Lmdp(
-        space=StateSpace(n, n, all_labels),
-        dynamics=PassiveDynamics(P_ii, P_bi),
-        r_interior=np.full(n, float(r_step)),
-        lam=lam,
-    )
+    return Lmdp(n, n, P_ii, P_bi, np.full(n, float(r_step)), lam, all_labels)
 
 
 def _grid_successors(rows: int, cols: int, open_edge) -> list[list[int]]:

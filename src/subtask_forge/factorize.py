@@ -408,7 +408,8 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
     divergence scaled by exact powers of two. Other betas are left out of
     that claim: at beta 1.5, ``B ** (beta - 2)`` does not scale exactly, and
     D moved by up to 1e-15 relative. A fit that is still not finite raises
-    :class:`NonFiniteResultError`.
+    :class:`NonFiniteResultError`, as does a fit scaled down at beta > 0
+    whose value fell below the smallest normal float while D @ W missed Z.
     """
     opts = opts or NmfOptions()
     Z = _check_Z(Z)
@@ -427,6 +428,10 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
     # an overflow anywhere in the fit shows as a non-finite result, raised below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         best, (D, W, trace, converged) = _fit_restarts(Z, k, beta, opts)
+        # a value below the smallest normal float has lost its terms to
+        # underflow unless D @ W is Z, and scaling it back up by 4**(e * beta)
+        # would report what was lost as nothing
+        underflow = e * beta > 0 and trace[-1] < _TINY and not np.array_equal(D @ W, Z)
 
         col_mass = np.maximum(D.sum(axis=0), _TINY)
         D = D / col_mass[None, :]
@@ -437,7 +442,7 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
             W = np.ldexp(W, 2 * e)
             trace = _times_pow2(trace, 2.0 * e * beta)
     divergence = float(trace[-1])
-    if not (np.isfinite(divergence) and np.isfinite(normalized)
+    if underflow or not (np.isfinite(divergence) and np.isfinite(normalized)
             and np.isfinite(D).all() and np.isfinite(W).all()):
         raise NonFiniteResultError(
             f"the k={k} beta={beta:g} fit is not finite (divergence {divergence:g}); "
@@ -554,20 +559,11 @@ def write_factorization_files(dir_path, F: Factorization) -> None:
     """Write D.csv, W.csv and meta.json into an existing directory."""
     fileio.write_matrix_csv(os.path.join(dir_path, "D.csv"), F.D)
     fileio.write_matrix_csv(os.path.join(dir_path, "W.csv"), F.W)
-    fileio.atomic_write_json(os.path.join(dir_path, "meta.json"), {
-        "beta": F.beta,
-        "k": F.k,
-        "seed": F.seed,
-        "restarts": F.restarts,
-        "iterations": F.iterations,
-        "divergence": F.divergence,
-        "normalized_divergence": F.normalized_divergence,
-        "converged": F.converged,
-        "best_restart": F.best_restart,
-    })
+    fileio.atomic_write_json(os.path.join(dir_path, "meta.json"),
+                             {key: getattr(F, key) for key in _META_FIELDS})
 
 
-#: meta.json fields, each required: name -> (accepts, kind).
+#: meta.json fields in their written order, each required: name -> (accepts, kind).
 _META_FIELDS = {
     "beta": (_is_number, "a number"),
     "k": (_is_int, "an integer"),

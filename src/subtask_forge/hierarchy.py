@@ -7,12 +7,17 @@ by each column's subtask mass. The next layer's LMDP treats subtask and
 boundary states as absorbing and measures where walks started from each
 subtask's footprint get absorbed, which becomes the higher-layer transition
 law over subtasks.
+
+A hierarchy is a list of :class:`SubtaskLayer` records, ``H.layers``, and a
+level is its index there: level 0 augments the given LMDP, and each later
+level's ``base`` is the :class:`Lmdp` derived from the level below, with the
+subtasks of that level as its interior states.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +28,7 @@ from .factorize import (
     nmf,
     write_factorization_files,
 )
-from .lmdp_core import Lmdp, PassiveDynamics, StateSpace, _lu_of_i_minus, save_lmdp
+from .lmdp_core import Lmdp, Triplets, _lu_of_i_minus, save_lmdp
 from .multitask import solve_task_basis
 from . import fileio
 
@@ -45,17 +50,18 @@ def normalized_columns(D) -> np.ndarray:
 class SubtaskLayer:
     """One level of the stack: base LMDP plus subtask-augmented dynamics.
 
-    ``scaled`` holds the base dynamics with each column scaled down by its
-    subtask mass; ``scaled.ii`` and ``scaled.bi`` are its ``Triplets``.
+    ``scaled_ii`` and ``scaled_bi`` are the base's ``P_ii`` and ``P_bi`` with
+    each column scaled down by its subtask mass; ``P_t`` holds the
+    probabilities of entering each subtask.
     """
 
-    level: int
     base: Lmdp
     factorization: Factorization
     alpha: float
     d_hat: np.ndarray
     P_t: np.ndarray
-    scaled: PassiveDynamics
+    scaled_ii: Triplets
+    scaled_bi: Triplets
 
     @property
     def k(self) -> int:
@@ -86,12 +92,10 @@ def augment_with_subtasks(L: Lmdp, F: Factorization, alpha: float) -> SubtaskLay
         )
     scale = 1.0 - alpha * mass
     P_t = alpha * d_hat.T
-    scaled = PassiveDynamics(L.dynamics.ii.scale_columns(scale),
-                             L.dynamics.bi.scale_columns(scale))
     P_t.setflags(write=False)
     return SubtaskLayer(
-        level=0, base=L, factorization=F, alpha=alpha, d_hat=d_hat, P_t=P_t,
-        scaled=scaled,
+        base=L, factorization=F, alpha=alpha, d_hat=d_hat, P_t=P_t,
+        scaled_ii=L.P_ii.scale_columns(scale), scaled_bi=L.P_bi.scale_columns(scale),
     )
 
 
@@ -109,9 +113,9 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
         raise ValueError("deriving a higher layer needs alpha > 0")
     n, k = layer.base.n_interior, layer.k
     n_b = layer.base.n_boundary
-    solve = _lu_of_i_minus(layer.scaled.ii, lambda: (
+    solve = _lu_of_i_minus(layer.scaled_ii, lambda: (
         "absorption system is singular; augmented dynamics leak probability"))
-    hit = solve(np.hstack([layer.P_t.T, layer.scaled.bi.toarray().T]))
+    hit = solve(np.hstack([layer.P_t.T, layer.scaled_bi.toarray().T]))
     P_next = hit.T @ layer.d_hat
     sums = P_next.sum(axis=0)
     if np.any(np.abs(sums - 1.0) > ABSORPTION_TOL) or not np.all(np.isfinite(P_next)):
@@ -122,16 +126,12 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
         )
     P_next = np.maximum(P_next, 0.0) / P_next.sum(axis=0, keepdims=True)
 
-    base_labels = layer.base.space.labels
+    base_labels = layer.base.labels
     labels = None
     if base_labels is not None:
         labels = tuple(f"subtask({t})" for t in range(k)) + base_labels[n:]
-    return Lmdp(
-        space=StateSpace(k, n_b, labels),
-        dynamics=PassiveDynamics(P_next[:k, :], P_next[k:, :]),
-        r_interior=layer.d_hat.T @ layer.base.r_interior,
-        lam=layer.base.lam,
-    )
+    return Lmdp(k, n_b, P_next[:k, :], P_next[k:, :],
+                layer.d_hat.T @ layer.base.r_interior, layer.base.lam, labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +181,7 @@ def build_hierarchy(L: Lmdp, k_schedule, alpha_schedule, beta: float = 1.0,
         try:
             Z = solve_task_basis(current)
             F = nmf(Z, k, beta, opts)
-            layer = replace(augment_with_subtasks(current, F, alpha), level=level)
+            layer = augment_with_subtasks(current, F, alpha)
             layers.append(layer)
             current = derive_higher_layer(layer)
         except (SubtaskForgeError, ValueError) as exc:
@@ -193,8 +193,8 @@ def build_hierarchy(L: Lmdp, k_schedule, alpha_schedule, beta: float = 1.0,
 
 
 def write_hierarchy_files(dir_path, H: HierarchicalMlmdp) -> None:
-    for layer in H.layers:
-        level_dir = os.path.join(dir_path, f"level_{layer.level}")
+    for level, layer in enumerate(H.layers):
+        level_dir = os.path.join(dir_path, f"level_{level}")
         os.makedirs(level_dir, exist_ok=True)
         save_lmdp(os.path.join(level_dir, "lmdp.json"), layer.base)
         write_factorization_files(level_dir, layer.factorization)
@@ -205,6 +205,6 @@ def write_hierarchy_files(dir_path, H: HierarchicalMlmdp) -> None:
         "alpha_schedule": list(H.alpha_schedule),
         "beta": H.beta,
         "seed": H.seed,
-        "level_dirs": [f"level_{layer.level}" for layer in H.layers],
+        "level_dirs": [f"level_{level}" for level in range(H.depth)],
         "top": "top.json",
     })

@@ -1,5 +1,10 @@
 """Finite-exit linearly-solvable MDPs: representation, validation, exact solvers.
 
+An LMDP is one flat record, :class:`Lmdp`: ``n_interior`` interior states
+followed by ``n_boundary`` absorbing boundary states, the passive dynamics
+``P_ii`` and ``P_bi``, the interior rewards ``r_interior``, the temperature
+``lam`` and optional state ``labels``.
+
 Matrix convention used throughout the package: transition matrices are
 column-stochastic with entry ``(to, from)``. Column ``s`` of the stacked
 matrix ``[P_ii; P_bi]`` holds the outgoing passive distribution of interior
@@ -124,55 +129,35 @@ class Triplets:
         return out
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Partitioned state space: interior states first, then boundary states."""
-
-    n_interior: int
-    n_boundary: int
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-
-
-class PassiveDynamics:
-    """Column-stochastic passive dynamics split into interior and boundary rows.
+@dataclass(frozen=True, eq=False)
+class Lmdp:
+    """Finite-exit LMDP: interior states first, then boundary states.
 
     ``P_ii[i, s]`` is the probability of moving from interior state ``s`` to
     interior state ``i``; ``P_bi[b, s]`` the probability of exiting to
-    boundary state ``b``. Each is given as :class:`Triplets` or a dense 2-D
-    array and held only as :class:`Triplets`, ``ii`` and ``bi``.
+    boundary state ``b``. Each is given as :class:`Triplets` or a numeric
+    2-D array and held as :class:`Triplets`. ``r_interior`` holds one reward
+    per interior state, ``lam`` the temperature and ``labels`` None or one
+    name per state, interior then boundary.
     """
 
-    def __init__(self, P_ii, P_bi):
-        self.ii = Triplets.of(P_ii, "P_ii")
-        self.bi = Triplets.of(P_bi, "P_bi")
-
-
-@dataclass(frozen=True, eq=False)
-class Lmdp:
-    """Finite-exit LMDP: state space, passive dynamics, interior rewards, temperature."""
-
-    space: StateSpace
-    dynamics: PassiveDynamics
+    n_interior: int
+    n_boundary: int
+    P_ii: Triplets
+    P_bi: Triplets
     r_interior: np.ndarray
     lam: float = 1.0
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        for name in ("P_ii", "P_bi"):
+            object.__setattr__(self, name, Triplets.of(getattr(self, name), name))
         object.__setattr__(
             self, "r_interior", _read_only(np.array(self.r_interior, dtype=float).reshape(-1))
         )
         object.__setattr__(self, "lam", float(self.lam))
-
-    @property
-    def n_interior(self) -> int:
-        return self.space.n_interior
-
-    @property
-    def n_boundary(self) -> int:
-        return self.space.n_boundary
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
 
     def exp_rewards(self) -> np.ndarray:
         """Per-state factor exp(r_interior / lam)."""
@@ -181,25 +166,19 @@ class Lmdp:
         return np.exp(self.r_interior / self.lam)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def validate_lmdp(L: Lmdp) -> ValidationReport:
-    """Collect every violated LMDP invariant; never raises.
+def validate_lmdp(L: Lmdp) -> tuple[str, ...]:
+    """Every violated LMDP invariant, empty when L is valid; never raises.
 
     Column-stochasticity messages are capped at ``MAX_REPORTED`` columns.
     """
     v: list[str] = []
     try:
-        n_i, n_b = L.space.n_interior, L.space.n_boundary
+        n_i, n_b = L.n_interior, L.n_boundary
         if n_i < 1:
             v.append(f"n_interior must be >= 1, got {n_i}")
         if n_b < 1:
             v.append(f"n_boundary must be >= 1, got {n_b}")
-        labels = L.space.labels
+        labels = L.labels
         if labels is not None:
             if len(labels) != n_i + n_b:
                 v.append(f"labels has length {len(labels)}, expected {n_i + n_b}")
@@ -212,7 +191,7 @@ def validate_lmdp(L: Lmdp) -> ValidationReport:
         elif not np.all(np.isfinite(L.r_interior)):
             v.append("r_interior contains non-finite entries")
 
-        P_ii, P_bi = L.dynamics.ii, L.dynamics.bi
+        P_ii, P_bi = L.P_ii, L.P_bi
         if P_ii.shape != (n_i, n_i):
             v.append(f"P_ii has shape {P_ii.shape}, expected ({n_i}, {n_i})")
         if P_bi.shape != (n_b, n_i):
@@ -235,7 +214,7 @@ def validate_lmdp(L: Lmdp) -> ValidationReport:
                 v.append(f"... and {bad.size - MAX_REPORTED} more non-stochastic columns")
     except Exception as exc:  # diagnostic collection must never throw
         v.append(f"validation aborted: {exc}")
-    return ValidationReport(ok=not v, violations=tuple(v))
+    return tuple(v)
 
 
 def _lu_of_i_minus(P: Triplets, singular, g: np.ndarray | None = None):
@@ -289,11 +268,11 @@ class _FiniteExitSystem:
         self.L = L
         self.g = L.exp_rewards()
         n = L.n_interior
-        if L.dynamics.ii.shape != (n, n):
+        if L.P_ii.shape != (n, n):
             raise ValueError(
-                f"P_ii has shape {L.dynamics.ii.shape}, expected ({n}, {n})"
+                f"P_ii has shape {L.P_ii.shape}, expected ({n}, {n})"
             )
-        self.lu_solve = _lu_of_i_minus(L.dynamics.ii, lambda: (
+        self.lu_solve = _lu_of_i_minus(L.P_ii, lambda: (
             "desirability system is singular "
             f"(estimated spectral radius {self._spectral_radius():.6g}); "
             "check that every interior state can reach a boundary state"), self.g)
@@ -302,7 +281,7 @@ class _FiniteExitSystem:
         v = np.full(self.L.n_interior, 1.0 / max(self.L.n_interior, 1))
         rho = 0.0
         for _ in range(200):
-            w = self.g * self.L.dynamics.ii.t_dot(v)
+            w = self.g * self.L.P_ii.t_dot(v)
             norm = np.linalg.norm(w, np.inf)
             if norm == 0 or not np.isfinite(norm):
                 return norm
@@ -339,7 +318,7 @@ class _FiniteExitSystem:
 
     def _solve_block(self, Q: np.ndarray, first: int) -> np.ndarray:
         """The checked solution for the floored task columns Q."""
-        b = self.L.dynamics.bi.t_dot(Q)
+        b = self.L.P_bi.t_dot(Q)
         b *= self.g[:, None]
         z = self.lu_solve(b)
         self.check(z, b, first)
@@ -354,7 +333,7 @@ class _FiniteExitSystem:
         tolerance and the error names the first failing one, "task t: ...",
         counting tasks from ``first``.
         """
-        res = Z - self.g[:, None] * self.L.dynamics.ii.t_dot(Z)
+        res = Z - self.g[:, None] * self.L.P_ii.t_dot(Z)
         res -= b
         res = np.abs(res, out=res).max(axis=0, initial=0.0)
         tol = np.maximum(RESIDUAL_TOL, RESIDUAL_TOL * np.abs(Z).max(axis=0, initial=0.0))
@@ -429,12 +408,12 @@ def lmdp_to_json_dict(L: Lmdp) -> dict:
         "n_interior": L.n_interior,
         "n_boundary": L.n_boundary,
     }
-    if L.space.labels is not None:
-        out["labels"] = list(L.space.labels)
+    if L.labels is not None:
+        out["labels"] = list(L.labels)
     out["lambda"] = L.lam
     out["r_interior"] = [float(x) for x in L.r_interior]
-    out["P_ii"] = {"triplets": _triplets(L.dynamics.ii)}
-    out["P_bi"] = {"triplets": _triplets(L.dynamics.bi)}
+    out["P_ii"] = {"triplets": _triplets(L.P_ii)}
+    out["P_bi"] = {"triplets": _triplets(L.P_bi)}
     return out
 
 
@@ -458,15 +437,13 @@ def lmdp_from_json_dict(d: dict) -> Lmdp:
     # which a short file could otherwise set to billions
     if len(r) != n_i:
         raise ValueError(f"LMDP JSON: r_interior has shape ({len(r)},), expected ({n_i},)")
-    dyn = PassiveDynamics(
+    return Lmdp(
+        n_i, n_b,
         P_ii=_from_triplets(d["P_ii"], (n_i, n_i), "P_ii"),
         P_bi=_from_triplets(d["P_bi"], (n_b, n_i), "P_bi"),
-    )
-    return Lmdp(
-        space=StateSpace(n_i, n_b, labels),
-        dynamics=dyn,
         r_interior=r,
         lam=_json_field(d, "lambda", _is_number, "a number"),
+        labels=labels,
     )
 
 
@@ -484,7 +461,7 @@ def load_lmdp(path) -> Lmdp:
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: LMDP JSON must be an object")
     L = lmdp_from_json_dict(obj)
-    report = validate_lmdp(L)
-    if not report.ok:
-        raise ValueError(f"{path}: invalid LMDP: {'; '.join(report.violations)}")
+    violations = validate_lmdp(L)
+    if violations:
+        raise ValueError(f"{path}: invalid LMDP: {'; '.join(violations)}")
     return L

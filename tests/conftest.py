@@ -10,7 +10,6 @@ up as low-rank structure in the basis.
 import os
 import pickle
 import signal
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -103,9 +102,9 @@ def inject(monkeypatch, attr, failure):
 
 
 def equal_dynamics(a, b) -> bool:
-    """Bit-exact equality of two passive-dynamics pairs."""
+    """Bit-exact equality of two LMDPs' passive dynamics."""
     return all(ma.shape == mb.shape and np.array_equal(ma.toarray(), mb.toarray())
-               for ma, mb in ((a.ii, b.ii), (a.bi, b.bi)))
+               for ma, mb in ((a.P_ii, b.P_ii), (a.P_bi, b.P_bi)))
 
 
 def singular_on_both_solvers(call) -> tuple[str, str]:
@@ -121,16 +120,16 @@ def singular_on_both_solvers(call) -> tuple[str, str]:
 
 
 def labels_interior(L):
-    return None if L.space.labels is None else L.space.labels[:L.n_interior]
+    return None if L.labels is None else L.labels[:L.n_interior]
 
 
 def labels_boundary(L):
-    return None if L.space.labels is None else L.space.labels[L.n_interior:]
+    return None if L.labels is None else L.labels[L.n_interior:]
 
 
 def augmented_stacked(layer) -> np.ndarray:
     """Dense (n_i + n_b + k) x n_i column-stochastic augmented dynamics."""
-    return np.vstack([layer.scaled.ii.toarray(), layer.scaled.bi.toarray(), layer.P_t])
+    return np.vstack([layer.scaled_ii.toarray(), layer.scaled_bi.toarray(), layer.P_t])
 
 
 def write_factorization(dir_path, F) -> None:
@@ -163,11 +162,11 @@ def read_hierarchy(dir_path) -> HierarchicalMlmdp:
     if not (len(level_dirs) == len(alpha_schedule) == int(manifest["levels"])):
         raise ValueError(f"{dir_path}: hierarchy.json schedule lengths disagree")
     layers = []
-    for level, (name, alpha) in enumerate(zip(level_dirs, alpha_schedule)):
+    for name, alpha in zip(level_dirs, alpha_schedule):
         level_dir = os.path.join(dir_path, name)
         base = load_lmdp(os.path.join(level_dir, "lmdp.json"))
         F = read_factorization(level_dir)
-        layers.append(replace(augment_with_subtasks(base, F, alpha), level=level))
+        layers.append(augment_with_subtasks(base, F, alpha))
     return HierarchicalMlmdp(
         layers=tuple(layers),
         top=load_lmdp(os.path.join(dir_path, manifest["top"])),

@@ -27,10 +27,10 @@ def solve_iterative(L, q_b, tol: float = 1e-12, max_iter: int = 10_000) -> np.nd
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     g = L.exp_rewards()
-    c = L.dynamics.bi.t_dot(q)
+    c = L.P_bi.t_dot(q)
     z = np.ones(L.n_interior)
     for _ in range(max_iter):
-        z_new = g * (L.dynamics.ii.t_dot(z) + c)
+        z_new = g * (L.P_ii.t_dot(z) + c)
         delta = np.max(np.abs(z_new - z)) if z.size else 0.0
         z = z_new
         if delta < tol:

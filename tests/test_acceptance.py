@@ -61,7 +61,7 @@ def ring_hier(ring_lmdp):
 
 def _residual(L, z, q):
     g = L.exp_rewards()
-    return z - g * (L.dynamics.ii.toarray().T @ z + L.dynamics.bi.toarray().T @ q)
+    return z - g * (L.P_ii.toarray().T @ z + L.P_bi.toarray().T @ q)
 
 
 def test_criterion_01_solver_equivalence(rooms_lmdp, taxi_lmdp, ring_lmdp):
@@ -166,7 +166,7 @@ def test_criterion_08_hierarchy_quadrants(rooms_hier):
 
 def test_criterion_09_doorway_scores(rooms_fact16, rooms_lmdp):
     rooms = rooms_room_labels(RoomsSpec(4, 4, 5))
-    P = rooms_lmdp.dynamics.ii
+    P = rooms_lmdp.P_ii
     cross = rooms[P.rows] != rooms[P.cols]
     doorway_cells = set(P.rows[cross]) | set(P.cols[cross])
     n_doorways = int(cross.sum()) // 2  # each doorway contributes two edges
@@ -214,11 +214,11 @@ def test_criterion_11_higher_layer_absorption():
                       iterations=0, converged=True, best_restart=0)
     layer = augment_with_subtasks(L, F, 0.6)
     top = derive_higher_layer(layer)
-    P = np.vstack([top.dynamics.ii.toarray(), top.dynamics.bi.toarray()])
+    P = np.vstack([top.P_ii.toarray(), top.P_bi.toarray()])
 
     # raw absorption sums, before the library's exact renormalization
-    M = np.eye(6) - layer.scaled.ii.toarray().T
-    absorb = np.hstack([layer.P_t.T, layer.scaled.bi.toarray().T])
+    M = np.eye(6) - layer.scaled_ii.toarray().T
+    absorb = np.hstack([layer.P_t.T, layer.scaled_bi.toarray().T])
     raw = np.linalg.solve(M, absorb).T @ layer.d_hat
     sums_ok = np.max(np.abs(raw.sum(axis=0) - 1.0)) <= 1e-10
 

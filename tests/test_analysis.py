@@ -9,7 +9,7 @@ from subtask_forge.analysis import (
     write_boundary_scores,
 )
 from subtask_forge.factorize import Factorization
-from subtask_forge.lmdp_core import Lmdp, PassiveDynamics, StateSpace
+from subtask_forge.lmdp_core import Lmdp
 
 
 def fact(D, W=None) -> Factorization:
@@ -80,34 +80,20 @@ def test_boundary_score_hand_values():
         [0.0, 0.0, 1.0],
         [0.0, 0.0, 0.0],
     ])
-    L = Lmdp(
-        space=StateSpace(3, 3),
-        dynamics=PassiveDynamics(P_ii=P_ii, P_bi=np.eye(3) * 0.1),
-        r_interior=np.zeros(3),
-    )
+    L = Lmdp(3, 3, P_ii=P_ii, P_bi=np.eye(3) * 0.1, r_interior=np.zeros(3))
     g = boundary_score(fact(np.ones((3, 2)), W=W), L)
     np.testing.assert_allclose(g, [0.0, 1.0, 2.0], atol=1e-15)
 
 
 def test_boundary_score_flat_representation_is_zero():
     W = np.ones((2, 4))
-    L = Lmdp(
-        space=StateSpace(4, 4),
-        dynamics=PassiveDynamics(
-            P_ii=np.full((4, 4), 0.2), P_bi=np.eye(4) * 0.2
-        ),
-        r_interior=np.zeros(4),
-    )
+    L = Lmdp(4, 4, P_ii=np.full((4, 4), 0.2), P_bi=np.eye(4) * 0.2, r_interior=np.zeros(4))
     g = boundary_score(fact(np.ones((4, 2)), W=W), L)
     np.testing.assert_array_equal(g, np.zeros(4))
 
 
 def test_boundary_score_requires_twin_structure():
-    L = Lmdp(
-        space=StateSpace(2, 3),
-        dynamics=PassiveDynamics(P_ii=np.eye(2) * 0.5, P_bi=np.ones((3, 2)) / 6),
-        r_interior=np.zeros(2),
-    )
+    L = Lmdp(2, 3, P_ii=np.eye(2) * 0.5, P_bi=np.ones((3, 2)) / 6, r_interior=np.zeros(2))
     with pytest.raises(ValueError, match="boundary"):
         boundary_score(fact(np.ones((2, 2)), W=np.ones((2, 3))), L)
     with pytest.raises(ValueError, match="task columns"):

@@ -485,6 +485,17 @@ def test_non_finite_fit_exits_3(tmp_path):
     assert not (tmp_path / "f").exists()
 
 
+def test_underflowed_frobenius_fit_exits_3(tmp_path):
+    # the fit runs on Z / 4**512, where the squares of its misses of 0.785
+    # and 3.0 underflow to 0; scaling that back wrote a divergence of 0.0
+    (tmp_path / "Z.csv").write_text("2,2\n1.7e308,1.0\n2.0,3.0\n")
+    result = runner.invoke(main, ["factor", str(tmp_path / "Z.csv"), str(tmp_path / "f"),
+                                  "--k", "1", "--beta", "2"])
+    assert result.exit_code == 3
+    assert "not finite" in result.stderr
+    assert not (tmp_path / "f").exists()
+
+
 def test_alpha_out_of_range_exits_2(ws, tmp_path):
     result = runner.invoke(main, ["hierarchy", str(ws["domain"]),
                                   str(tmp_path / "h"), "--ks", "4,2",

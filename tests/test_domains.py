@@ -28,7 +28,7 @@ from subtask_forge.lmdp_core import validate_lmdp
 
 
 def column_sums(L):
-    return np.vstack([L.dynamics.ii.toarray(), L.dynamics.bi.toarray()]).sum(axis=0)
+    return np.vstack([L.P_ii.toarray(), L.P_bi.toarray()]).sum(axis=0)
 
 
 def doorway_cells(spec):
@@ -40,7 +40,7 @@ def test_rooms_2x2x3_counts():
     spec = RoomsSpec(2, 2, 3)
     L = build_rooms(spec)
     assert (L.n_interior, L.n_boundary) == (36, 36)
-    assert validate_lmdp(L).ok
+    assert validate_lmdp(L) == ()
     assert len(rooms_doorway_pairs(spec)) == 4
     assert len(doorway_cells(spec)) == 8
 
@@ -64,7 +64,7 @@ def test_rooms_doorway_positions():
 def test_rooms_walls_block_everything_else():
     spec = RoomsSpec(2, 2, 3)
     L = build_rooms(spec)
-    P_ii = L.dynamics.ii.toarray()
+    P_ii = L.P_ii.toarray()
     room = rooms_room_labels(spec)
     doorways = {frozenset((a[0] * 6 + a[1], b[0] * 6 + b[1]))
                 for a, b in rooms_doorway_pairs(spec)}
@@ -91,8 +91,8 @@ def test_rooms_labels():
 def test_rooms_twin_weight_column():
     L = build_rooms(RoomsSpec(2, 2, 3), twin_weight=0.01)
     # corner cell 0 has two in-room neighbors
-    col = L.dynamics.ii.toarray()[:, 0]
-    assert L.dynamics.bi.toarray()[0, 0] == 0.01
+    col = L.P_ii.toarray()[:, 0]
+    assert L.P_bi.toarray()[0, 0] == 0.01
     np.testing.assert_allclose(col[col > 0], (1 - 0.01) / 2)
     assert np.all(np.abs(column_sums(L) - 1) < 1e-12)
 
@@ -100,14 +100,14 @@ def test_rooms_twin_weight_column():
 def test_rooms_uniform_twin_column():
     L = build_rooms(RoomsSpec(2, 2, 3))
     # corner cell: twin and both neighbors each get 1/3
-    assert L.dynamics.bi.toarray()[0, 0] == pytest.approx(1 / 3, rel=1e-15)
+    assert L.P_bi.toarray()[0, 0] == pytest.approx(1 / 3, rel=1e-15)
 
 
 def test_rooms_transposition_equivariance():
     a = build_rooms(RoomsSpec(2, 3, 3))
     b = build_rooms(RoomsSpec(3, 2, 3))
-    Pa = a.dynamics.ii.toarray()
-    Pb = b.dynamics.ii.toarray()
+    Pa = a.P_ii.toarray()
+    Pb = b.P_ii.toarray()
     # map (r, c) of a to (c, r) of b
     rows_a, cols_a = 6, 9
     perm = np.array([c * rows_a + r for r in range(rows_a) for c in range(cols_a)])
@@ -141,7 +141,7 @@ def test_taxi_counts_and_blocks():
     spec = TaxiSpec()
     L = build_taxi(spec)
     assert (L.n_interior, L.n_boundary) == (125, 125)
-    assert validate_lmdp(L).ok
+    assert validate_lmdp(L) == ()
     labels = taxi_block_labels(spec)
     assert np.bincount(labels).tolist() == [25] * 5
     assert labels_interior(L)[0] == "taxi(0,0)|pass(A)"
@@ -151,7 +151,7 @@ def test_taxi_counts_and_blocks():
 def test_taxi_cross_block_edges():
     spec = TaxiSpec()
     L = build_taxi(spec)
-    P_ii = L.dynamics.ii.toarray()
+    P_ii = L.P_ii.toarray()
     blocks = taxi_block_labels(spec)
     cross = np.argwhere((P_ii > 0) & (blocks[:, None] != blocks[None, :]))
     # 4 pick-up edges into the in-taxi block, 4 drop-off edges out of it
@@ -165,7 +165,7 @@ def test_taxi_cross_block_edges():
 
 def test_taxi_walls_block_moves():
     L = build_taxi(TaxiSpec())
-    P_ii = L.dynamics.ii.toarray()
+    P_ii = L.P_ii.toarray()
     # classic wall between (0,1) and (0,2), checked inside block A
     assert P_ii[2, 1] == 0 and P_ii[1, 2] == 0
     assert P_ii[1, 0] > 0
@@ -183,8 +183,8 @@ def test_taxi_spec_validation():
 def test_ring_structure():
     L = build_ring(RingSpec(8))
     assert (L.n_interior, L.n_boundary) == (8, 8)
-    assert validate_lmdp(L).ok
-    P_ii = L.dynamics.ii.toarray()
+    assert validate_lmdp(L) == ()
+    P_ii = L.P_ii.toarray()
     np.testing.assert_allclose(P_ii[1, 0], 1 / 3)
     np.testing.assert_allclose(P_ii[7, 0], 1 / 3)
     assert labels_interior(L)[3] == "pos(3)"
@@ -192,7 +192,7 @@ def test_ring_structure():
 
 def test_ring_rotation_equivariance():
     L = build_ring(RingSpec(8), twin_weight=0.2)
-    P = L.dynamics.ii.toarray()
+    P = L.P_ii.toarray()
     perm = (np.arange(8) + 1) % 8
     np.testing.assert_array_equal(P, P[np.ix_(perm, perm)])
 
@@ -289,7 +289,7 @@ def test_region_labels_dispatch():
 def test_rooms_always_valid(room_rows, room_cols, room_size, layout):
     spec = RoomsSpec(room_rows, room_cols, room_size, layout)
     L = build_rooms(spec, twin_weight=0.1)
-    assert validate_lmdp(L).ok
+    assert validate_lmdp(L) == ()
     n_rooms = room_rows * room_cols
     expected = (n_rooms - 1 if layout == "snake"
                 else room_rows * (room_cols - 1) + (room_rows - 1) * room_cols)

@@ -7,6 +7,7 @@ independent checks: a dense linear solve done right here in the tests, and
 
 import json
 import os
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -33,8 +34,8 @@ from subtask_forge.hierarchy import (
     derive_higher_layer,
     normalized_columns,
 )
-from subtask_forge.lmdp_core import Lmdp, PassiveDynamics, StateSpace
-from test_lmdp_core import random_lmdps
+from subtask_forge.lmdp_core import Lmdp
+from test_lmdp_core import random_lmdps, resaved_bytes
 
 
 def fact(D, W=None) -> Factorization:
@@ -50,9 +51,8 @@ def fact(D, W=None) -> Factorization:
 def strip_subtasks(layer) -> Lmdp:
     """The layer's base LMDP rebuilt from its scaled dynamics."""
     inv = 1.0 / (1.0 - layer.alpha * layer.d_hat.sum(axis=1))
-    dynamics = PassiveDynamics(layer.scaled.ii.scale_columns(inv),
-                               layer.scaled.bi.scale_columns(inv))
-    return Lmdp(layer.base.space, dynamics, layer.base.r_interior, layer.base.lam)
+    return replace(layer.base, P_ii=layer.scaled_ii.scale_columns(inv),
+                   P_bi=layer.scaled_bi.scale_columns(inv))
 
 
 def toy_lmdp() -> Lmdp:
@@ -66,12 +66,8 @@ def toy_lmdp() -> Lmdp:
         [0.3, 0.2, 0.1],
         [0.2, 0.3, 0.4],
     ])
-    return Lmdp(
-        space=StateSpace(3, 2, ("a", "b", "c", "exit:a", "exit:b")),
-        dynamics=PassiveDynamics(P_ii, P_bi),
-        r_interior=np.array([-1.0, -2.0, -3.0]),
-        lam=1.0,
-    )
+    return Lmdp(3, 2, P_ii, P_bi, r_interior=np.array([-1.0, -2.0, -3.0]), lam=1.0,
+                labels=("a", "b", "c", "exit:a", "exit:b"))
 
 
 # Column masses 3 and 4; row sums of d_hat are [2/3, 7/12, 3/4].
@@ -111,11 +107,11 @@ def test_augment_hand_oracle():
 
     # original rows shrink by exactly the mass diverted into subtask states
     scale = 1.0 - alpha * d_hat.sum(axis=1)
-    assert np.array_equal(layer.scaled.ii.toarray(),
-                          L.dynamics.ii.toarray() * scale[None, :])
-    assert np.array_equal(layer.scaled.bi.toarray(),
-                          L.dynamics.bi.toarray() * scale[None, :])
-    assert layer.scaled.ii.vals.size == L.dynamics.ii.vals.size
+    assert np.array_equal(layer.scaled_ii.toarray(),
+                          L.P_ii.toarray() * scale[None, :])
+    assert np.array_equal(layer.scaled_bi.toarray(),
+                          L.P_bi.toarray() * scale[None, :])
+    assert layer.scaled_ii.vals.size == L.P_ii.vals.size
 
     stacked = augmented_stacked(layer)
     assert stacked.shape == (3 + 2 + 2, 3)
@@ -130,7 +126,7 @@ def test_alpha_zero_roundtrip_is_bit_exact():
     layer = augment_with_subtasks(L, fact(TOY_D), 0.0)
     assert np.array_equal(layer.P_t, np.zeros((2, 3)))
     back = strip_subtasks(layer)
-    assert equal_dynamics(back.dynamics, L.dynamics)
+    assert equal_dynamics(back, L)
     assert np.array_equal(back.r_interior, L.r_interior)
     assert back.lam == L.lam
 
@@ -138,9 +134,9 @@ def test_alpha_zero_roundtrip_is_bit_exact():
 def test_nonzero_alpha_roundtrip():
     L = toy_lmdp()
     back = strip_subtasks(augment_with_subtasks(L, fact(TOY_D), 0.7))
-    assert np.allclose(back.dynamics.ii.toarray(), L.dynamics.ii.toarray(),
+    assert np.allclose(back.P_ii.toarray(), L.P_ii.toarray(),
                        rtol=1e-14, atol=0)
-    assert np.allclose(back.dynamics.bi.toarray(), L.dynamics.bi.toarray(),
+    assert np.allclose(back.P_bi.toarray(), L.P_bi.toarray(),
                        rtol=1e-14, atol=0)
 
 
@@ -162,11 +158,9 @@ def test_both_solvers_report_a_leaking_layer_alike():
     # states 1 and 2 pass their walk to each other and carry no subtask
     # mass, so a walk started there is never absorbed
     L = Lmdp(
-        space=StateSpace(3, 1),
-        dynamics=PassiveDynamics(
-            P_ii=np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]]),
-            P_bi=np.array([[0.5, 0.0, 0.0]]),
-        ),
+        3, 1,
+        P_ii=np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+        P_bi=np.array([[0.5, 0.0, 0.0]]),
         r_interior=np.zeros(3),
     )
     layer = augment_with_subtasks(L, fact([[1.0], [0.0], [0.0]]), 0.5)
@@ -183,20 +177,20 @@ def test_derived_layer_matches_dense_inverse():
     # oracle: hitting probabilities of the absorbing augmented chain,
     # H[s, j] = P(absorbed at j | start s), via a dense solve
     n, k, n_b = 3, 2, 2
-    M = np.eye(n) - layer.scaled.ii.toarray().T
-    absorb = np.hstack([layer.P_t.T, layer.scaled.bi.toarray().T])
+    M = np.eye(n) - layer.scaled_ii.toarray().T
+    absorb = np.hstack([layer.P_t.T, layer.scaled_bi.toarray().T])
     H = np.linalg.solve(M, absorb)
     oracle = H.T @ layer.d_hat
 
     # absorption is certain, so oracle columns sum to 1 before any cleanup
     assert np.all(np.abs(oracle.sum(axis=0) - 1.0) < 1e-10)
 
-    got = np.vstack([top.dynamics.ii.toarray(), top.dynamics.bi.toarray()])
+    got = np.vstack([top.P_ii.toarray(), top.P_bi.toarray()])
     assert got.shape == (k + n_b, k)
     assert np.allclose(got, oracle, rtol=1e-12, atol=1e-15)
     assert np.allclose(got.sum(axis=0), 1.0, atol=1e-12)
 
-    assert top.space.labels == ("subtask(0)", "subtask(1)", "exit:a", "exit:b")
+    assert top.labels == ("subtask(0)", "subtask(1)", "exit:a", "exit:b")
     assert np.array_equal(top.r_interior, layer.d_hat.T @ L.r_interior)
     assert top.lam == L.lam
 
@@ -219,7 +213,7 @@ def test_derived_columns_sum_to_one(case, k, seed, fraction):
     alpha = fraction / normalized_columns(D).sum(axis=1).max()
     assume(alpha > 0)  # a subnormal fraction can round alpha to 0
     top = derive_higher_layer(augment_with_subtasks(L, fact(D), alpha))
-    P = np.vstack([top.dynamics.ii.toarray(), top.dynamics.bi.toarray()])
+    P = np.vstack([top.P_ii.toarray(), top.P_bi.toarray()])
     assert P.shape == (k + L.n_boundary, k) and np.all(P >= 0)
     assert np.all(np.abs(P.sum(axis=0) - 1.0) <= ABSORPTION_TOL)
 
@@ -236,7 +230,7 @@ def test_both_solvers_derive_the_same_layer(case, k, seed):
     tops = [derive_higher_layer(layer)]
     with mock.patch.object(lmdp_core, "DENSE_MAX_STATES", 0):
         tops.append(derive_higher_layer(layer))
-    dense, lu = (np.vstack([top.dynamics.ii.toarray(), top.dynamics.bi.toarray()])
+    dense, lu = (np.vstack([top.P_ii.toarray(), top.P_bi.toarray()])
                  for top in tops)
     assert np.max(np.abs(dense - lu)) <= 1e-12
 
@@ -274,7 +268,7 @@ def test_derived_layer_matches_monte_carlo():
     ])
     layer = augment_with_subtasks(L, fact(D), 0.6)
     top = derive_higher_layer(layer)
-    P = np.vstack([top.dynamics.ii.toarray(), top.dynamics.bi.toarray()])
+    P = np.vstack([top.P_ii.toarray(), top.P_bi.toarray()])
 
     # frozen seed; worst entry sits under 1 standard error for this draw
     rng = np.random.default_rng(8)
@@ -301,16 +295,15 @@ def test_build_hierarchy_shapes(small_hierarchy):
     H = small_hierarchy
     assert H.depth == 2
     assert H.k_schedule == (4, 2) and H.alpha_schedule == (0.1, 0.1)
-    assert [layer.level for layer in H.layers] == [0, 1]
     assert H.layers[0].base.n_interior == 36
     assert H.layers[1].base.n_interior == 4  # previous level's subtask count
     assert H.layers[1].base.n_boundary == 36
     assert H.top.n_interior == 2
     assert H.top.n_boundary == 36
     # each derived level keeps exit labels from the ground domain
-    assert H.layers[1].base.space.labels[:4] == tuple(
+    assert H.layers[1].base.labels[:4] == tuple(
         f"subtask({t})" for t in range(4))
-    assert H.top.space.labels[2] == "exit:cell(0,0)"
+    assert H.top.labels[2] == "exit:cell(0,0)"
 
 
 def test_grounding_chain(small_hierarchy):
@@ -362,14 +355,19 @@ def test_write_read_roundtrip(tmp_path, small_hierarchy):
     assert R.k_schedule == H.k_schedule
     assert R.alpha_schedule == H.alpha_schedule
     assert R.beta == H.beta and R.seed == H.seed
-    assert equal_dynamics(R.top.dynamics, H.top.dynamics)
+    assert equal_dynamics(R.top, H.top)
     for got, want in zip(R.layers, H.layers):
         # CSV holds full repr precision, so recomputed tensors match bit for bit
         assert np.array_equal(got.d_hat, want.d_hat)
         assert got.alpha == want.alpha
-        assert equal_dynamics(got.base.dynamics, want.base.dynamics)
-        assert np.array_equal(got.scaled.ii.toarray(),
-                              want.scaled.ii.toarray())
+        assert equal_dynamics(got.base, want.base)
+        assert np.array_equal(got.scaled_ii.toarray(), want.scaled_ii.toarray())
+
+
+def test_saving_a_loaded_top_file_reproduces_its_bytes(tmp_path, small_hierarchy):
+    write_hierarchy(tmp_path / "stack", small_hierarchy)
+    top = tmp_path / "stack" / "top.json"
+    assert resaved_bytes(top, tmp_path) == top.read_bytes()
 
 
 def test_read_hierarchy_rejects_bad_manifest(tmp_path, small_hierarchy):

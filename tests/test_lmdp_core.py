@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import (
+    benchmark_rooms,
+    benchmark_taxi,
     equal_dynamics,
     labels_boundary,
     labels_interior,
@@ -20,8 +23,6 @@ from subtask_forge.domains import RingSpec, build_ring
 from subtask_forge.errors import SingularSystemError
 from subtask_forge.lmdp_core import (
     Lmdp,
-    PassiveDynamics,
-    StateSpace,
     Triplets,
     lmdp_from_json_dict,
     lmdp_to_json_dict,
@@ -46,12 +47,8 @@ Z_ORACLE = np.array([0.20868768427179646, 0.25178134374954486])
 
 
 def two_state() -> Lmdp:
-    return Lmdp(
-        space=StateSpace(2, 2, ("a", "b", "exit:a", "exit:b")),
-        dynamics=PassiveDynamics(P_ii=P_II, P_bi=P_BI),
-        r_interior=R,
-        lam=1.0,
-    )
+    return Lmdp(2, 2, P_ii=P_II, P_bi=P_BI, r_interior=R, lam=1.0,
+                labels=("a", "b", "exit:a", "exit:b"))
 
 
 def test_two_state_oracle():
@@ -69,11 +66,9 @@ def test_iterative_matches_direct():
 def test_singular_when_no_exit():
     # both interior columns keep all mass in the interior with r = 0
     trapped = Lmdp(
-        space=StateSpace(2, 1),
-        dynamics=PassiveDynamics(
-            P_ii=np.array([[0.5, 0.5], [0.5, 0.5]]),
-            P_bi=np.zeros((1, 2)),
-        ),
+        2, 1,
+        P_ii=np.array([[0.5, 0.5], [0.5, 0.5]]),
+        P_bi=np.zeros((1, 2)),
         r_interior=np.zeros(2),
     )
     with pytest.raises(SingularSystemError, match="spectral radius"):
@@ -83,11 +78,9 @@ def test_singular_when_no_exit():
 def test_both_solvers_report_a_trapped_lmdp_alike():
     # the LMDP of test_singular_when_no_exit: no interior state can exit
     trapped = Lmdp(
-        space=StateSpace(2, 1),
-        dynamics=PassiveDynamics(
-            P_ii=np.array([[0.5, 0.5], [0.5, 0.5]]),
-            P_bi=np.zeros((1, 2)),
-        ),
+        2, 1,
+        P_ii=np.array([[0.5, 0.5], [0.5, 0.5]]),
+        P_bi=np.zeros((1, 2)),
         r_interior=np.zeros(2),
     )
     dense, lu = singular_on_both_solvers(
@@ -107,11 +100,7 @@ def test_nonuniform_rewards_batch_matches_loop(monkeypatch):
     # matrix right-hand sides; with 4 entries a block holds 2 of the 7
     # columns, and the blocks must not show in the result or in the errors
     rng = np.random.default_rng(7)
-    L = Lmdp(
-        space=StateSpace(2, 2),
-        dynamics=PassiveDynamics(P_ii=P_II, P_bi=P_BI),
-        r_interior=np.array([-2.0, -0.1]),
-    )
+    L = Lmdp(2, 2, P_ii=P_II, P_bi=P_BI, r_interior=np.array([-2.0, -0.1]))
     sys_ = lmdp_core._FiniteExitSystem(L)
     for block_entries in (lmdp_core.SOLVE_BLOCK_ENTRIES, 4):
         monkeypatch.setattr(lmdp_core, "SOLVE_BLOCK_ENTRIES", block_entries)
@@ -136,7 +125,7 @@ def test_residual_check_names_the_perturbed_task(dense_max):
         sys_ = lmdp_core._FiniteExitSystem(L)
     Q = np.full((L.n_boundary, 5), DEFAULT_Q_FLOOR)
     Q[3:8] += np.eye(5) * (1.0 - DEFAULT_Q_FLOOR)
-    b = L.dynamics.bi.t_dot(Q) * sys_.g[:, None]
+    b = L.P_bi.t_dot(Q) * sys_.g[:, None]
     z = sys_.lu_solve(b)
     sys_.check(z, b, 3)
     z[:, 2] *= 1.0 + 1e-8
@@ -146,23 +135,21 @@ def test_residual_check_names_the_perturbed_task(dense_max):
 
 
 def test_validate_clean():
-    rep = validate_lmdp(two_state())
-    assert rep.ok and rep.violations == ()
+    assert validate_lmdp(two_state()) == ()
 
 
 def test_validate_collects_violations():
     bad = Lmdp(
-        space=StateSpace(2, 2, ("a", "a", "x", "y")),
-        dynamics=PassiveDynamics(
-            P_ii=np.array([[0.2, 0.25], [0.3, 0.25]]),
-            P_bi=np.array([[0.4, 0.1], [0.1, 0.1]]),  # column 1 sums to 0.7
-        ),
+        2, 2,
+        P_ii=np.array([[0.2, 0.25], [0.3, 0.25]]),
+        P_bi=np.array([[0.4, 0.1], [0.1, 0.1]]),  # column 1 sums to 0.7
         r_interior=np.array([np.nan, 0.0]),
         lam=1.0,
+        labels=("a", "a", "x", "y"),
     )
-    rep = validate_lmdp(bad)
-    assert not rep.ok
-    joined = "\n".join(rep.violations)
+    violations = validate_lmdp(bad)
+    assert violations
+    joined = "\n".join(violations)
     assert "labels are not unique" in joined
     assert "column 1 sums to 0.7" in joined
     assert "non-finite" in joined
@@ -171,7 +158,7 @@ def test_validate_collects_violations():
 def test_nan_dynamics_rejected_in_process_and_in_a_file(tmp_path):
     d = lmdp_to_json_dict(two_state())
     d["P_ii"]["triplets"][0][2] = float("nan")
-    assert "P_ii has a NaN entry" in validate_lmdp(lmdp_from_json_dict(d)).violations
+    assert "P_ii has a NaN entry" in validate_lmdp(lmdp_from_json_dict(d))
     path = tmp_path / "lmdp.json"
     path.write_text(json.dumps(d))  # writes the non-standard token NaN
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: got NaN, but JSON "
@@ -181,17 +168,11 @@ def test_nan_dynamics_rejected_in_process_and_in_a_file(tmp_path):
 
 def test_validate_caps_reported_columns():
     n = 12
-    rep = validate_lmdp(
-        Lmdp(
-            space=StateSpace(n, 1),
-            dynamics=PassiveDynamics(
-                P_ii=np.zeros((n, n)), P_bi=np.full((1, n), 0.5)
-            ),
-            r_interior=np.zeros(n),
-        ),
+    violations = validate_lmdp(
+        Lmdp(n, 1, P_ii=np.zeros((n, n)), P_bi=np.full((1, n), 0.5), r_interior=np.zeros(n)),
     )
-    assert sum("sums to" in v for v in rep.violations) == 8
-    assert any("4 more" in v for v in rep.violations)
+    assert sum("sums to" in v for v in violations) == 8
+    assert any("4 more" in v for v in violations)
 
 
 def test_json_roundtrip(tmp_path):
@@ -199,12 +180,45 @@ def test_json_roundtrip(tmp_path):
     path = tmp_path / "lmdp.json"
     save_lmdp(path, L)
     back = load_lmdp(path)
-    assert back.space == L.space
+    assert (back.n_interior, back.n_boundary, back.labels) == (
+        L.n_interior, L.n_boundary, L.labels)
     assert back.lam == L.lam
-    assert equal_dynamics(back.dynamics, L.dynamics)
+    assert equal_dynamics(back, L)
     np.testing.assert_array_equal(back.r_interior, L.r_interior)
     assert labels_interior(back) == ("a", "b")
     assert labels_boundary(back) == ("exit:a", "exit:b")
+
+
+def resaved_bytes(path, tmp_path) -> bytes:
+    """The bytes ``save_lmdp`` writes for the LMDP that ``load_lmdp`` reads
+    from ``path``."""
+    again = tmp_path / "again.json"
+    save_lmdp(again, load_lmdp(path))
+    return again.read_bytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: benchmark_rooms(2, 2, 3), benchmark_taxi, lambda: build_ring(RingSpec(12)),
+], ids=["rooms", "taxi", "ring"])
+def test_saving_a_loaded_domain_file_reproduces_its_bytes(tmp_path, build):
+    path = tmp_path / "domain.json"
+    save_lmdp(path, build())
+    assert resaved_bytes(path, tmp_path) == path.read_bytes()
+
+
+def test_saving_a_loaded_hand_written_file_reproduces_its_bytes(tmp_path):
+    # no labels; the triplets in (col, row) order, as save_lmdp writes them
+    path = tmp_path / "lmdp.json"
+    path.write_text(json.dumps({
+        "n_interior": 2,
+        "n_boundary": 1,
+        "lambda": 2.0,
+        "r_interior": [-1.0, -0.5],
+        "P_ii": {"triplets": [[0, 0, 0.5], [1, 0, 0.25], [1, 1, 0.5]]},
+        "P_bi": {"triplets": [[0, 0, 0.25], [0, 1, 0.5]]},
+    }, indent=2) + "\n")
+    assert load_lmdp(path).labels is None
+    assert resaved_bytes(path, tmp_path) == path.read_bytes()
 
 
 def test_json_triplets_sorted_and_complete():
@@ -232,7 +246,7 @@ def test_json_triplet_out_of_range():
 def test_dynamics_are_read_only():
     L = two_state()
     with pytest.raises(ValueError):
-        L.dynamics.ii.vals[0] = 0.9
+        L.P_ii.vals[0] = 0.9
     with pytest.raises(ValueError):
         L.r_interior[0] = 1.0
 
@@ -249,12 +263,7 @@ def random_lmdps(draw):
     cols = raw / raw.sum(axis=0)
     r = -rng.uniform(0.0, 2.0, size=n_i)
     lam = draw(st.sampled_from([0.5, 1.0, 3.0]))
-    L = Lmdp(
-        space=StateSpace(n_i, n_b),
-        dynamics=PassiveDynamics(P_ii=cols[:n_i], P_bi=cols[n_i:]),
-        r_interior=r,
-        lam=lam,
-    )
+    L = Lmdp(n_i, n_b, P_ii=cols[:n_i], P_bi=cols[n_i:], r_interior=r, lam=lam)
     q = rng.uniform(0.1, 2.0, size=n_b)
     return L, q
 
@@ -263,11 +272,11 @@ def random_lmdps(draw):
 @settings(max_examples=60)
 def test_solutions_are_positive_fixed_points(case):
     L, q = case
-    assert validate_lmdp(L).ok
+    assert validate_lmdp(L) == ()
     z = lmdp_core._FiniteExitSystem(L).solve(q[:, None])[:, 0]
     assert np.all(z > 0) and np.all(np.isfinite(z))
     g = np.exp(L.r_interior / L.lam)
-    res = z - g * (L.dynamics.ii.toarray().T @ z + L.dynamics.bi.toarray().T @ q)
+    res = z - g * (L.P_ii.toarray().T @ z + L.P_bi.toarray().T @ q)
     assert np.max(np.abs(res)) <= 1e-10 * max(1.0, np.max(np.abs(z)))
     np.testing.assert_allclose(z, solve_iterative(L, q, tol=1e-14), rtol=1e-9)
 
@@ -279,9 +288,9 @@ def test_permuting_interior_states_permutes_the_basis(case, data):
     L, _ = case
     perm = np.array(data.draw(st.permutations(range(L.n_interior))))
     permuted = Lmdp(
-        space=L.space,
-        dynamics=PassiveDynamics(P_ii=L.dynamics.ii.toarray()[np.ix_(perm, perm)],
-                                 P_bi=L.dynamics.bi.toarray()[:, perm]),
+        L.n_interior, L.n_boundary,
+        P_ii=L.P_ii.toarray()[np.ix_(perm, perm)],
+        P_bi=L.P_bi.toarray()[:, perm],
         r_interior=L.r_interior[perm],
         lam=L.lam,
     )
@@ -326,12 +335,7 @@ def test_uniform_reward_shift_scales_desirability(case, dr):
     # rescales the fixed point monotonically, so z must grow entrywise
     L, q = case
     z = lmdp_core._FiniteExitSystem(L).solve(q[:, None])[:, 0]
-    shifted = Lmdp(
-        space=L.space,
-        dynamics=L.dynamics,
-        r_interior=L.r_interior + dr,
-        lam=L.lam,
-    )
+    shifted = replace(L, r_interior=L.r_interior + dr)
     try:
         z_up = lmdp_core._FiniteExitSystem(shifted).solve(q[:, None])[:, 0]
     except SingularSystemError:
@@ -352,16 +356,16 @@ def test_dense_and_sparse_solves_agree(case):
 
 
 def test_dynamics_take_triplets_or_dense_arrays_only():
-    dense = two_state().dynamics
-    given_triplets = PassiveDynamics(P_ii=dense.ii, P_bi=dense.bi)
-    assert given_triplets.ii is dense.ii and given_triplets.bi is dense.bi
+    dense = two_state()
+    given_triplets = Lmdp(2, 2, P_ii=dense.P_ii, P_bi=dense.P_bi, r_interior=R)
+    assert given_triplets.P_ii is dense.P_ii and given_triplets.P_bi is dense.P_bi
     for bad, got in ((sparse.csr_array(P_II), "csr_array"), (P_II[0], "a 1-D array"),
                      ([[0.5, "x"]], "list"), (None, "a 0-D array")):
         with pytest.raises(ValueError, match=re.escape(
                 f"P_ii: expected Triplets or a numeric 2-D array, got {got}")):
-            PassiveDynamics(P_ii=bad, P_bi=P_BI)
+            replace(dense, P_ii=bad)
     with pytest.raises(ValueError, match="P_bi: expected Triplets"):
-        PassiveDynamics(P_ii=P_II, P_bi=sparse.coo_array(P_BI))
+        replace(dense, P_bi=sparse.coo_array(P_BI))
 
 
 @st.composite
