@@ -273,11 +273,8 @@ def cmd_hierarchy(domain_path, out_dir, ks, alphas, beta, seed, restarts,
     L = load_lmdp(domain_path)
     H = build_hierarchy(L, k_schedule, alpha_schedule, beta,
                         run.nmf_options(seed, restarts, max_iter, tol))
-    outputs = [f"level_{level}" for level in range(H.depth)]
-    outputs += ["top.json", "hierarchy.json"]
     with fileio.staged_dir(out_dir) as stage:
-        write_hierarchy_files(stage, H)
-        run.emit_inside(stage, outputs)
+        run.emit_inside(stage, write_hierarchy_files(stage, H))
     click.echo(f"wrote {out_dir}: {H.depth} levels, "
                f"top has {H.top.n_interior} interior states")
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorRankError, NonFiniteResultError
-from .lmdp_core import _is_int, _is_number, _json_field
+from .lmdp_core import _is_int, _is_number, _json_field, _read_only
 from . import fileio
 
 _TINY = np.finfo(float).tiny
@@ -581,9 +581,10 @@ def read_factorization(dir_path) -> Factorization:
     """Read a factorization directory; invalid content raises ValueError.
 
     D and W must hold finite nonnegative entries, and meta.json's fields
-    their JSON types (a JSON true is not a count).
+    their JSON types (a JSON true is not a count). D and W are read-only,
+    as :func:`nmf` returns them.
     """
-    D, W = (fileio.read_matrix_csv(os.path.join(dir_path, name))
+    D, W = (_read_only(fileio.read_matrix_csv(os.path.join(dir_path, name)))
             for name in ("D.csv", "W.csv"))
     for name, M in (("D.csv", D), ("W.csv", W)):
         if not np.all((M >= 0) & (M < np.inf)):

@@ -342,6 +342,8 @@ def _read_split(path: Path, rows: int, cols: int) -> np.ndarray | None:
     half or child included, returns None. The result is allocated once: this
     process copies its half in, then the child's from a shared anonymous
     mapping made before the fork; only whether it fitted is pickled back.
+    Pickling the child's half back instead gave the same bytes and time but
+    raised large-io ``factor``'s peak RSS from 68.0 to 72.7 MB (8 runs each).
     """
     half = (rows + 1) // 2
     out = np.empty((rows, cols))
@@ -395,9 +397,11 @@ def _ragged_row(path: Path, cols: int) -> str | None:
 
 @contextmanager
 def _atomic_open(path: Path):
-    """Yield a binary temp file beside ``path`` that replaces it on success."""
+    """Yield a binary temp file beside ``path`` that replaces it on success,
+    made with mode 0666 so that the umask decides its mode, as ``open``'s."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

@@ -8,10 +8,11 @@ boundary states as absorbing and measures where walks started from each
 subtask's footprint get absorbed, which becomes the higher-layer transition
 law over subtasks.
 
-A hierarchy is a list of :class:`SubtaskLayer` records, ``H.layers``, and a
-level is its index there: level 0 augments the given LMDP, and each later
-level's ``base`` is the :class:`Lmdp` derived from the level below, with the
-subtasks of that level as its interior states.
+A hierarchy is ``HierarchicalMlmdp(layers, top)``: a :class:`SubtaskLayer` per
+level (its index in ``layers``) and the LMDP derived from the last. Level 0
+augments the given LMDP; each later level's ``base`` is the :class:`Lmdp`
+derived from the level below, whose interior states are that level's subtasks.
+hierarchy.json's schedules, ``beta`` and ``seed`` are read from the layers.
 """
 
 from __future__ import annotations
@@ -51,21 +52,20 @@ class SubtaskLayer:
     """One level of the stack: base LMDP plus subtask-augmented dynamics.
 
     ``scaled_ii`` and ``scaled_bi`` are the base's ``P_ii`` and ``P_bi`` with
-    each column scaled down by its subtask mass; ``P_t`` holds the
-    probabilities of entering each subtask.
+    each column scaled down by its subtask mass; state s enters subtask t
+    with probability ``alpha * d_hat[s, t]``, and ``d_hat`` is read-only.
     """
 
     base: Lmdp
     factorization: Factorization
     alpha: float
     d_hat: np.ndarray
-    P_t: np.ndarray
     scaled_ii: Triplets
     scaled_bi: Triplets
 
     @property
     def k(self) -> int:
-        return self.P_t.shape[0]
+        return self.d_hat.shape[1]
 
 
 def augment_with_subtasks(L: Lmdp, F: Factorization, alpha: float) -> SubtaskLayer:
@@ -91,10 +91,9 @@ def augment_with_subtasks(L: Lmdp, F: Factorization, alpha: float) -> SubtaskLay
             alpha_max=alpha_max,
         )
     scale = 1.0 - alpha * mass
-    P_t = alpha * d_hat.T
-    P_t.setflags(write=False)
+    d_hat.setflags(write=False)
     return SubtaskLayer(
-        base=L, factorization=F, alpha=alpha, d_hat=d_hat, P_t=P_t,
+        base=L, factorization=F, alpha=alpha, d_hat=d_hat,
         scaled_ii=L.P_ii.scale_columns(scale), scaled_bi=L.P_bi.scale_columns(scale),
     )
 
@@ -115,7 +114,7 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
     n_b = layer.base.n_boundary
     solve = _lu_of_i_minus(layer.scaled_ii, lambda: (
         "absorption system is singular; augmented dynamics leak probability"))
-    hit = solve(np.hstack([layer.P_t.T, layer.scaled_bi.toarray().T]))
+    hit = solve(np.hstack([layer.alpha * layer.d_hat, layer.scaled_bi.toarray().T]))
     P_next = hit.T @ layer.d_hat
     sums = P_next.sum(axis=0)
     if np.any(np.abs(sums - 1.0) > ABSORPTION_TOL) or not np.all(np.isfinite(P_next)):
@@ -138,21 +137,10 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
 class HierarchicalMlmdp:
     layers: tuple[SubtaskLayer, ...]
     top: Lmdp
-    k_schedule: tuple[int, ...]
-    alpha_schedule: tuple[float, ...]
-    beta: float
-    seed: int
 
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-
-def _annotate(exc: Exception, level: int) -> Exception:
-    msg = f"level {level}: {exc}"
-    if isinstance(exc, AlphaRangeError):
-        return AlphaRangeError(msg, alpha_max=exc.alpha_max)
-    return type(exc)(msg)
 
 
 def build_hierarchy(L: Lmdp, k_schedule, alpha_schedule, beta: float = 1.0,
@@ -185,26 +173,29 @@ def build_hierarchy(L: Lmdp, k_schedule, alpha_schedule, beta: float = 1.0,
             layers.append(layer)
             current = derive_higher_layer(layer)
         except (SubtaskForgeError, ValueError) as exc:
-            raise _annotate(exc, level) from exc
-    return HierarchicalMlmdp(
-        layers=tuple(layers), top=current, k_schedule=k_schedule,
-        alpha_schedule=alpha_schedule, beta=float(beta), seed=opts.seed,
-    )
+            exc.args = (f"level {level}: {exc}",)
+            raise
+    return HierarchicalMlmdp(layers=tuple(layers), top=current)
 
 
-def write_hierarchy_files(dir_path, H: HierarchicalMlmdp) -> None:
-    for level, layer in enumerate(H.layers):
-        level_dir = os.path.join(dir_path, f"level_{level}")
+def write_hierarchy_files(dir_path, H: HierarchicalMlmdp) -> list[str]:
+    """Write each level's directory, top.json and hierarchy.json into an
+    existing directory; return the names written there, in that order."""
+    level_dirs = [f"level_{level}" for level in range(H.depth)]
+    for name, layer in zip(level_dirs, H.layers):
+        level_dir = os.path.join(dir_path, name)
         os.makedirs(level_dir, exist_ok=True)
         save_lmdp(os.path.join(level_dir, "lmdp.json"), layer.base)
         write_factorization_files(level_dir, layer.factorization)
     save_lmdp(os.path.join(dir_path, "top.json"), H.top)
+    F = H.layers[0].factorization
     fileio.atomic_write_json(os.path.join(dir_path, "hierarchy.json"), {
         "levels": H.depth,
-        "k_schedule": list(H.k_schedule),
-        "alpha_schedule": list(H.alpha_schedule),
-        "beta": H.beta,
-        "seed": H.seed,
-        "level_dirs": [f"level_{level}" for level in range(H.depth)],
+        "k_schedule": [layer.k for layer in H.layers],
+        "alpha_schedule": [layer.alpha for layer in H.layers],
+        "beta": F.beta,
+        "seed": F.seed,
+        "level_dirs": level_dirs,
         "top": "top.json",
     })
+    return level_dirs + ["top.json", "hierarchy.json"]

@@ -129,7 +129,8 @@ def labels_boundary(L):
 
 def augmented_stacked(layer) -> np.ndarray:
     """Dense (n_i + n_b + k) x n_i column-stochastic augmented dynamics."""
-    return np.vstack([layer.scaled_ii.toarray(), layer.scaled_bi.toarray(), layer.P_t])
+    return np.vstack([layer.scaled_ii.toarray(), layer.scaled_bi.toarray(),
+                      layer.alpha * layer.d_hat.T])
 
 
 def write_factorization(dir_path, F) -> None:
@@ -167,14 +168,8 @@ def read_hierarchy(dir_path) -> HierarchicalMlmdp:
         base = load_lmdp(os.path.join(level_dir, "lmdp.json"))
         F = read_factorization(level_dir)
         layers.append(augment_with_subtasks(base, F, alpha))
-    return HierarchicalMlmdp(
-        layers=tuple(layers),
-        top=load_lmdp(os.path.join(dir_path, manifest["top"])),
-        k_schedule=tuple(int(k) for k in manifest["k_schedule"]),
-        alpha_schedule=alpha_schedule,
-        beta=float(manifest["beta"]),
-        seed=int(manifest["seed"]),
-    )
+    return HierarchicalMlmdp(layers=tuple(layers),
+                             top=load_lmdp(os.path.join(dir_path, manifest["top"])))
 
 
 def benchmark_rooms(room_rows=4, room_cols=4, room_size=5, layout="grid"):

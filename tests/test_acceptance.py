@@ -218,7 +218,7 @@ def test_criterion_11_higher_layer_absorption():
 
     # raw absorption sums, before the library's exact renormalization
     M = np.eye(6) - layer.scaled_ii.toarray().T
-    absorb = np.hstack([layer.P_t.T, layer.scaled_bi.toarray().T])
+    absorb = np.hstack([layer.alpha * layer.d_hat, layer.scaled_bi.toarray().T])
     raw = np.linalg.solve(M, absorb).T @ layer.d_hat
     sums_ok = np.max(np.abs(raw.sum(axis=0) - 1.0)) <= 1e-10
 

@@ -6,7 +6,9 @@ rooms domain; the other commands and the failure modes reuse its artifacts.
 
 import hashlib
 import json
+import os
 import re
+import stat
 import time
 import tracemalloc
 
@@ -265,6 +267,22 @@ def test_analyze_purity_needs_labels_without_default(ws, tmp_path):
     assert "pass --labels" in result.stderr
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_output_files_take_their_mode_from_the_umask(ws, tmp_path, umask, mode):
+    # the umask decides each output's mode, as for files any program creates
+    before = os.umask(umask)
+    try:
+        run_ok("build", ws["spec"], tmp_path / "domain.json")
+        run_ok("solve", tmp_path / "domain.json", tmp_path / "Z.csv")
+        run_ok("render", ws["fact"], ws["spec"], tmp_path / "svg")
+    finally:
+        os.umask(before)
+    for name in ("domain.json", "domain.json.manifest.json", "Z.csv",
+                 "Z.csv.manifest.json", "svg/subtask_00.svg", "svg/manifest.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
+
+
 def test_render_command(ws, tmp_path):
     out = tmp_path / "heatmaps"
     result = run_ok("render", ws["fact"], ws["spec"], out)
@@ -503,6 +521,16 @@ def test_alpha_out_of_range_exits_2(ws, tmp_path):
                                   "--max-iter", "50"])
     assert result.exit_code == 2
     assert "level 1:" in result.stderr and "outside" in result.stderr
+
+
+def test_rank_too_large_at_a_level_exits_3(ws, tmp_path):
+    # level 1 has 4 interior states, so rank 9 cannot be fitted there
+    result = runner.invoke(main, ["hierarchy", str(ws["domain"]),
+                                  str(tmp_path / "h"), "--ks", "4,9",
+                                  "--restarts", "1", "--max-iter", "50"])
+    assert result.exit_code == 3
+    assert result.stderr.count("level 1: ") == 1
+    assert not (tmp_path / "h").exists()
 
 
 def test_bad_flag_lists_exit_2(ws, tmp_path):

@@ -5,6 +5,7 @@ independent checks: a dense linear solve done right here in the tests, and
 (for the ring toy) brute-force Monte-Carlo rollouts of the augmented chain.
 """
 
+import dataclasses
 import json
 import os
 from dataclasses import replace
@@ -24,9 +25,10 @@ from conftest import (
 )
 from reference import grounded_subtasks
 from subtask_forge import lmdp_core
+from subtask_forge.analysis import boundary_score
 from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
-from subtask_forge.errors import AlphaRangeError
-from subtask_forge.factorize import Factorization, NmfOptions
+from subtask_forge.errors import AlphaRangeError, FactorRankError
+from subtask_forge.factorize import Factorization, NmfOptions, select_k
 from subtask_forge.hierarchy import (
     ABSORPTION_TOL,
     augment_with_subtasks,
@@ -35,6 +37,7 @@ from subtask_forge.hierarchy import (
     normalized_columns,
 )
 from subtask_forge.lmdp_core import Lmdp
+from subtask_forge.multitask import solve_task_basis
 from test_lmdp_core import random_lmdps, resaved_bytes
 
 
@@ -101,7 +104,6 @@ def test_augment_hand_oracle():
 
     d_hat = TOY_D / TOY_D.sum(axis=0, keepdims=True)
     assert np.array_equal(layer.d_hat, d_hat)
-    assert np.array_equal(layer.P_t, alpha * d_hat.T)
     assert layer.k == 2
     assert layer.alpha == alpha
 
@@ -118,13 +120,12 @@ def test_augment_hand_oracle():
     assert np.allclose(stacked.sum(axis=0), 1.0, atol=1e-12)
 
     with pytest.raises(ValueError):
-        layer.P_t[0, 0] = 9.9
+        layer.d_hat[0, 0] = 9.9
 
 
 def test_alpha_zero_roundtrip_is_bit_exact():
     L = toy_lmdp()
     layer = augment_with_subtasks(L, fact(TOY_D), 0.0)
-    assert np.array_equal(layer.P_t, np.zeros((2, 3)))
     back = strip_subtasks(layer)
     assert equal_dynamics(back, L)
     assert np.array_equal(back.r_interior, L.r_interior)
@@ -178,7 +179,7 @@ def test_derived_layer_matches_dense_inverse():
     # H[s, j] = P(absorbed at j | start s), via a dense solve
     n, k, n_b = 3, 2, 2
     M = np.eye(n) - layer.scaled_ii.toarray().T
-    absorb = np.hstack([layer.P_t.T, layer.scaled_bi.toarray().T])
+    absorb = np.hstack([layer.alpha * layer.d_hat, layer.scaled_bi.toarray().T])
     H = np.linalg.solve(M, absorb)
     oracle = H.T @ layer.d_hat
 
@@ -294,7 +295,8 @@ def small_hierarchy():
 def test_build_hierarchy_shapes(small_hierarchy):
     H = small_hierarchy
     assert H.depth == 2
-    assert H.k_schedule == (4, 2) and H.alpha_schedule == (0.1, 0.1)
+    assert [layer.k for layer in H.layers] == [4, 2]
+    assert [layer.alpha for layer in H.layers] == [0.1, 0.1]
     assert H.layers[0].base.n_interior == 36
     assert H.layers[1].base.n_interior == 4  # previous level's subtask count
     assert H.layers[1].base.n_boundary == 36
@@ -336,9 +338,11 @@ def test_hierarchy_annotates_failing_level():
     with pytest.raises(AlphaRangeError, match="level 1:") as info:
         build_hierarchy(L, [4, 2], [0.1, 50.0], opts=opts)
     assert 0.0 < info.value.alpha_max < 50.0
+    assert str(info.value).count("level 1: ") == 1
     # rank too large for the level-1 basis (4 interior states) fails there too
-    with pytest.raises(Exception, match="level 1:"):
+    with pytest.raises(FactorRankError, match="level 1:") as info:
         build_hierarchy(L, [4, 9], [0.1, 0.1], opts=opts)
+    assert str(info.value).count("level 1: ") == 1
 
 
 def test_write_read_roundtrip(tmp_path, small_hierarchy):
@@ -352,9 +356,11 @@ def test_write_read_roundtrip(tmp_path, small_hierarchy):
         assert (out / name).is_file(), name
 
     R = read_hierarchy(out)
-    assert R.k_schedule == H.k_schedule
-    assert R.alpha_schedule == H.alpha_schedule
-    assert R.beta == H.beta and R.seed == H.seed
+    manifest = json.loads((out / "hierarchy.json").read_text())
+    assert manifest["k_schedule"] == [layer.k for layer in R.layers] == [4, 2]
+    assert manifest["alpha_schedule"] == [layer.alpha for layer in R.layers]
+    assert [manifest["beta"]] * 2 == [layer.factorization.beta for layer in R.layers]
+    assert [manifest["seed"]] * 2 == [layer.factorization.seed for layer in R.layers]
     assert equal_dynamics(R.top, H.top)
     for got, want in zip(R.layers, H.layers):
         # CSV holds full repr precision, so recomputed tensors match bit for bit
@@ -362,6 +368,42 @@ def test_write_read_roundtrip(tmp_path, small_hierarchy):
         assert got.alpha == want.alpha
         assert equal_dynamics(got.base, want.base)
         assert np.array_equal(got.scaled_ii.toarray(), want.scaled_ii.toarray())
+
+
+def arrays_of(obj, path="record"):
+    """(path, array) of every numpy array a record holds, through nested
+    records and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from arrays_of(getattr(obj, field.name), f"{path}.{field.name}")
+    elif isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            yield from arrays_of(item, f"{path}[{i}]")
+
+
+def test_returned_arrays_are_read_only(tmp_path, small_hierarchy):
+    # a frozen record's arrays are read-only too, whether built or read back
+    H = small_hierarchy
+    write_hierarchy(tmp_path / "stack", H)
+    R = read_hierarchy(tmp_path / "stack")
+    L = H.layers[0].base
+    returned = {
+        "built": H,  # nmf's D, W and trace; Lmdp, Triplets and d_hat
+        "read": R,  # load_lmdp's Lmdp and read_factorization's D and W
+        "select_k": select_k(solve_task_basis(L), 1.0, 3,
+                             NmfOptions(seed=0, restarts=1, max_iter=20)),
+        "boundary_score": boundary_score(H.layers[0].factorization, L),
+    }
+    found = [pair for name, record in returned.items() for pair in arrays_of(record, name)]
+    names = [path for path, _ in found]
+    for held in ("built.layers[0].d_hat", "built.top.P_ii.vals",
+                 "built.layers[1].factorization.divergence_trace",
+                 "read.layers[0].factorization.D", "read.top.r_interior",
+                 "select_k.f", "boundary_score"):
+        assert held in names
+    assert [path for path, a in found if a.flags.writeable] == []
 
 
 def test_saving_a_loaded_top_file_reproduces_its_bytes(tmp_path, small_hierarchy):
