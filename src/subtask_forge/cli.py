@@ -140,7 +140,8 @@ def _nmf_flags(fn):
         click.option("--max-iter", type=int, default=_OPT.max_iter, show_default=True,
                      help="Multiplicative update budget per restart."),
         click.option("--tol", type=float, default=_OPT.tol, show_default=True,
-                     help="Relative improvement below which a restart stops."),
+                     help="Mean relative improvement per sweep between a restart's "
+                          "recorded values at or below which it stops."),
         click.option("--beta", type=float, default=1.0, show_default=True,
                      help="Beta-divergence parameter (0 IS, 1 KL, 2 Frobenius)."),
     ):

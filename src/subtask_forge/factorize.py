@@ -8,21 +8,17 @@ divergence. Columns of D act as distributed subtasks; rows of W say how much
 each task leans on each subtask.
 
 Minimization is by multiplicative updates with the majorization-minimization
-exponent, which keeps every recorded objective trace non-increasing for the
-three named beta values. Divergences are evaluated with cancellation-free
-per-entry terms so the traces are trustworthy at 1e-12 relative slack. Two
-traces are taken from products the updates form anyway while a restart's
-value lies above a floor, with an error of at most about 2e-13 relative,
-and from the cancellation-free terms once it falls below:
-
-- beta = 1 in quotient form, sum(Z log(Z / B)) - sum(Z) + sum(B) for
-  B = D @ W, from the Z / B that the next update needs, above
-  2**-7 (sum(Z) + sum(B));
-- beta = 2 in Gram form, 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>,
-  from the products of the W update, above 2**-4 (0.5 ||Z||^2). Above that
-  floor a beta = 2 fit forms no n x N array at all: a restart's initial
-  scale takes mean(D @ W) from the factors' sums, and the baseline
-  divergence is summed over row blocks of Z.
+exponent, which never raises the value for the three named beta values, so
+a restart records it only at sweep 0, every ``_VALUE_EVERY`` sweeps and
+after its last sweep, and every recorded trace is non-increasing.
+Divergences are evaluated with cancellation-free per-entry terms so the
+traces are trustworthy at 1e-12 relative slack. At beta = 2 the value is
+taken in Gram form, 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>, from the
+products of the W update, while it lies above 2**-4 (0.5 ||Z||^2), with an
+error of at most about 8e-14 relative, and from the cancellation-free terms
+once it falls below. Above that floor a beta = 2 fit forms no n x N array
+at all: a restart's initial scale takes mean(D @ W) from the factors' sums,
+and the baseline divergence is summed over row blocks of Z.
 
 Restarts are independent. A fit of more than one restart whose work,
 ``Z.size * max_iter`` entry-sweeps, reaches ``_SPLIT_MIN_WORK`` (2**18)
@@ -114,16 +110,14 @@ def _mu_exponent(beta: float) -> float:
     return 1.0 / (beta - 1.0)
 
 
-def _update_once(Z, D, W, B, beta, gamma, scratch, quotient):
+def _update_once(Z, D, W, B, beta, gamma, scratch):
     """One full sweep at beta != 2: update D in place, then W in place.
 
-    ``B`` is ``D @ W`` on entry, the product the caller already formed for
-    the objective; the sweep overwrites it with the intermediate product.
-    The beta = 1 update writes its quotient Z / B into ``scratch[0]``; with
-    ``quotient`` set, ``scratch[0]`` already holds Z / B on entry.
+    ``B`` holds ``D @ W`` on entry and again on exit, for the next sweep or
+    value. The beta = 1 update writes its quotient Z / B into ``scratch[0]``.
     """
     if beta == 1:
-        Q = scratch[0] if quotient else np.divide(Z, B, out=scratch[0])
+        Q = np.divide(Z, B, out=scratch[0])
         D *= (Q @ W.T) / np.maximum(W.sum(axis=1)[None, :], _TINY)
         np.divide(Z, np.matmul(D, W, out=B), out=Q)
         W *= (D.T @ Q) / np.maximum(D.sum(axis=0)[:, None], _TINY)
@@ -135,6 +129,7 @@ def _update_once(Z, D, W, B, beta, gamma, scratch, quotient):
         num = D.T @ (_power(B, beta - 2.0) * Z)
         den = np.maximum(D.T @ B ** (beta - 1.0), _TINY)
         W *= (num / den) ** gamma if gamma != 1.0 else num / den
+    np.matmul(D, W, out=B)
 
 
 def _power(B, p: float):
@@ -159,13 +154,7 @@ def _frobenius_sweep(Z, D, W, WWt):
     return DtZ, DtD, W @ W.T
 
 
-#: The beta = 1 objective in quotient form cancels: its error was measured at
-#: most 7 eps (sum(Z) + sum(B)) / d. A restart whose value falls below this
-#: fraction of sum(Z) + sum(B) takes the cancellation-free terms from then on,
-#: which keeps the quotient form's error at or below about 2e-13 relative.
-_QUOTIENT_FLOOR = 2.0 ** -7
-
-#: The beta = 2 objective in Gram form cancels too: its error was measured at
+#: The beta = 2 objective in Gram form cancels: its error was measured at
 #: most 23 eps (0.5 ||Z||^2), against a long-double reference, over 1715
 #: values of 13 bases (20 x 16 to 1600 x 1600: rooms, taxi, random and exact
 #: rank 4; k 2-64; up to 2000 sweeps); the median was 3 eps. A restart
@@ -173,26 +162,6 @@ _QUOTIENT_FLOOR = 2.0 ** -7
 #: cancellation-free terms from then on, which keeps the Gram form's error
 #: at or below 23 eps * 16, about 8e-14 relative: 2e-13 holds up to 56 eps.
 _GRAM_FLOOR = 2.0 ** -4
-
-
-def _objective(Z, D, W, B, beta, scratch, sum_Z):
-    """d_beta(Z || B) for B = D @ W, and whether ``scratch[0]`` now holds Z / B.
-
-    With ``sum_Z`` (sum(Z); None except at beta = 1) the value is taken in
-    quotient form, sum(Z log(Z / B)) - sum(Z) + sum(B), from the quotient the
-    next D update needs anyway; sum(B) is colsum(D) . rowsum(W). Below the
-    floor, or with ``sum_Z`` None, it is the cancellation-free
-    :func:`_divergence`, which overwrites the work arrays.
-    """
-    if sum_Z is not None:
-        Q = np.divide(Z, B, out=scratch[0])
-        sum_B = float(D.sum(axis=0) @ W.sum(axis=1))
-        # np.einsum, not a BLAS dot: np.vdot here was measured many times
-        # slower inside the hierarchy command than inside factor
-        d = float(np.einsum("ij,ij->", Z, np.log(Q, out=scratch[1]))) - sum_Z + sum_B
-        if d >= _QUOTIENT_FLOOR * (sum_Z + sum_B):
-            return d, True
-    return _divergence(Z, B, beta, *scratch), False
 
 
 def _gram_objective(half_zz, W, DtZ, DtD, WWt):
@@ -245,19 +214,31 @@ def _restart_stream(seed: int, k: int, restart: int) -> np.random.Generator:
     return np.random.default_rng([seed, k, restart])
 
 
-def _run_restart(Z, k, beta, opts, restart):
-    """(D, W, trace, converged) of one seeded restart: d_beta(Z || D @ W) for
-    the start, then after each sweep until the stop rule or ``opts.max_iter``.
+#: Sweeps between a restart's recorded values; the stop rule reads no
+#: other. One-restart fits at tol 0, median ms of 9 by m: rooms 400 x 400
+#: KL k 16 x 80 sweeps / taxi 125 x 125 KL k 5 x 300 / taxi IS k 5 x 300:
+#: 1 156.9 / 46.0 / 75.8, 2 113.5 / 32.1 / 60.1, 5 90.4 / 24.1 / 49.9,
+#: 10 83.3 / 21.0 / 46.4, 20 80.1 / 19.9 / 44.3, 40 81.2 / 19.2 / 43.8.
+#: Past 10 the gain is under 5%, and a restart that stops by the rule runs
+#: up to m - 1 sweeps past the value that stopped it.
+_VALUE_EVERY = 10
 
-    The value is taken at beta 2 in Gram form from the products of the last
-    sweep, with no n x N array, and at beta 1 in quotient form from the
-    Z / B that the next D update needs, until it falls below its floor; from
-    then on, and at every other beta, the restart forms B = D @ W and takes
-    the cancellation-free terms. B and the n x N work arrays are made when
-    the restart first needs them: at the start except at beta 2, where the
-    switch makes B and one work array. nmf hands in a C-ordered Z, the
-    order of B and the work arrays, so every elementwise pass reads all
-    three in step.
+
+def _run_restart(Z, k, beta, opts, restart):
+    """(D, W, trace, sweeps, converged) of one seeded restart: the trace holds
+    d_beta(Z || D @ W) at sweep 0, every ``_VALUE_EVERY`` sweeps after that
+    and after the last sweep, which is the stop rule's or ``opts.max_iter``.
+
+    The stop rule compares consecutive values d_prev and d, taken s sweeps
+    apart: the restart stops when d_prev - d <= opts.tol * s * d_prev, so
+    ``tol`` bounds the mean relative improvement per sweep. The value is
+    taken at beta 2 in Gram form from the products of the last sweep, with
+    no n x N array, until it falls below its floor; from then on, and at
+    every other beta, it is the cancellation-free :func:`_divergence` of
+    B = D @ W. At beta != 2 every sweep leaves B behind; at beta 2 the
+    switch makes B and one work array, and each value forms B. nmf hands in
+    a C-ordered Z, the order of B and the work arrays, so every elementwise
+    pass reads all three in step.
     """
     rng = _restart_stream(opts.seed, k, restart)
     n, n_tasks = Z.shape
@@ -269,30 +250,32 @@ def _run_restart(Z, k, beta, opts, restart):
     W *= scale
 
     # nmf has checked Z, and checks the fit for non-finite values at the end
-    gamma, B = _mu_exponent(beta), None
-    sum_Z = float(Z.sum()) if beta == 1 else None  # None once below the quotient floor
+    gamma = _mu_exponent(beta)
     if beta == 2:  # B stays None while the Gram value holds
-        half_zz = 0.5 * float(np.einsum("ij,ij->", Z, Z))
+        B, half_zz = None, 0.5 * float(np.einsum("ij,ij->", Z, Z))
         DtZ, DtD, WWt = D.T @ Z, D.T @ D, W @ W.T
     else:
-        B, scratch = np.empty(Z.shape), [np.empty(Z.shape) for _ in range(2 if beta == 1 else 0)]
-    trace = []
-    while True:
-        d = None if B is not None else _gram_objective(half_zz, W, DtZ, DtD, WWt)
-        if d is None:
-            if B is None:  # the Gram value fell below its floor
-                B, scratch = np.empty(Z.shape), [np.empty(Z.shape)]
-            d, quotient = _objective(Z, D, W, np.matmul(D, W, out=B), beta, scratch, sum_Z)
-            sum_Z = sum_Z if quotient else None
-        trace.append(d)
-        if len(trace) > 1 and trace[-2] - d <= opts.tol * max(trace[-2], _TINY):
-            return D, W, np.array(trace), True
-        if len(trace) > opts.max_iter:
-            return D, W, np.array(trace), False
+        B, scratch = D @ W, [np.empty(Z.shape) for _ in range(2 if beta == 1 else 0)]
+    trace, last = [], 0
+    for sweep in range(opts.max_iter + 1):  # returns at max_iter at the latest
+        if sweep % _VALUE_EVERY == 0 or sweep == opts.max_iter:
+            d = None if B is not None else _gram_objective(half_zz, W, DtZ, DtD, WWt)
+            if d is None:
+                if B is None:  # the Gram value fell below its floor
+                    B, scratch = np.empty(Z.shape), [np.empty(Z.shape)]
+                if beta == 2:  # a beta-2 sweep leaves no D @ W behind
+                    np.matmul(D, W, out=B)
+                d = _divergence(Z, B, beta, *scratch)
+            stop = bool(trace) and (trace[-1] - d
+                                    <= opts.tol * (sweep - last) * max(trace[-1], _TINY))
+            trace.append(d)
+            if stop or sweep == opts.max_iter:
+                return D, W, np.array(trace), sweep, stop
+            last = sweep
         if beta == 2:
             DtZ, DtD, WWt = _frobenius_sweep(Z, D, W, WWt)
         else:
-            _update_once(Z, D, W, B, beta, gamma, scratch, quotient)
+            _update_once(Z, D, W, B, beta, gamma, scratch)
 
 
 #: Entries per row block of the baseline divergence: its terms are arrays of
@@ -359,13 +342,14 @@ def _best_of(Z, k, beta, opts, restarts):
 
 #: Least work, in entry-sweeps (``Z.size * max_iter``), of a multi-restart
 #: fit whose second half of restarts a forked child fits. A split adds
-#: about 4.5 ms (taxi at 3 sweeps: 1.2 ms serial, 5.7 split). Two-restart
-#: KL fits at tol 0 on 2 cores, median ms serial / split (split faster in
-#: n of 15):
-#: taxi 125 x 125 at 2^17 2.4 / 6.6 (3), 2^18 8.3 / 9.6 (5), 2^19 15.9 /
-#: 12.9 (13); random 36 x 36 at 2^17 9.1 / 9.0 (8), 2^18 13.5 / 11.3 (15);
-#: 5 x 125 at 2^17 14.1 / 11.2 (14). The taxi basis breaks even near 2^18;
-#: small ones, where per-sweep call costs dominate, gain a little below it.
+#: about 3.5 ms (taxi at 3 sweeps: 1.1-1.9 ms serial, 4.8-5.5 split).
+#: Two-restart KL fits at tol 0 on 2 cores, median ms serial / split
+#: (split faster in n of 45):
+#: taxi 125 x 125 at 2^18 4.6 / 6.6 (3), 2^19 7.9 / 8.3 (10), 2^20 11.3 /
+#: 9.7 (43), 2^21 22.8 / 15.7 (44); random 36 x 36 at 2^17 6.2 / 5.9 (16),
+#: 2^18 10.9 / 8.6 (33); 5 x 125 at 2^17 6.8 / 9.6 (11), 2^18 21.6 / 15.3
+#: (42). The small bases break even near 2^18, the taxi basis between 2^19
+#: and 2^20: a value every ``_VALUE_EVERY`` sweeps made its sweeps cheaper.
 _SPLIT_MIN_WORK = 1 << 18
 
 
@@ -394,8 +378,10 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
     Runs ``opts.restarts`` independently seeded initializations (uniform on
     (0.1, 1.1), scaled so mean(D @ W) = mean(Z)) and keeps the lowest final
     divergence, ties broken by restart index. Each restart stops when the
-    relative objective improvement falls below ``opts.tol`` or after
-    ``opts.max_iter`` sweeps; hitting the cap is recorded, not raised.
+    mean relative improvement per sweep between its recorded values falls
+    to ``opts.tol`` or below, or after ``opts.max_iter`` sweeps; hitting
+    the cap is recorded, not raised, and ``iterations`` counts the sweeps
+    run.
 
     The returned D has L1-normalized columns with the compensating scale
     folded into W, leaving D @ W unchanged. ``normalized_divergence`` is the
@@ -427,7 +413,7 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
         Z = np.ldexp(Z, -2 * e)
     # an overflow anywhere in the fit shows as a non-finite result, raised below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        best, (D, W, trace, converged) = _fit_restarts(Z, k, beta, opts)
+        best, (D, W, trace, sweeps, converged) = _fit_restarts(Z, k, beta, opts)
         # a value below the smallest normal float has lost its terms to
         # underflow unless D @ W is Z, and scaling it back up by 4**(e * beta)
         # would report what was lost as nothing
@@ -460,7 +446,7 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
         normalized_divergence=normalized,
         seed=opts.seed,
         restarts=opts.restarts,
-        iterations=len(trace) - 1,
+        iterations=sweeps,
         converged=converged,
         best_restart=best,
         divergence_trace=trace,

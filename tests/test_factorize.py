@@ -178,12 +178,18 @@ def test_nmf_best_restart_is_minimum():
     assert F.best_restart == int(np.argmin(finals))
 
 
+def recorded_sweeps(max_iter):
+    """The sweeps at which a restart of ``max_iter`` sweeps that does not
+    stop by the rule records its value."""
+    return sorted({*range(0, max_iter + 1, factorize._VALUE_EVERY), max_iter})
+
+
 def _restart_with_temporaries(Z, k, beta, opts, restart):
-    """Reference restart: every term a fresh array. The value is taken in
-    Gram form at beta 2 and in quotient form at beta 1 until it falls below
-    its floor, and from then on as ``beta_divergence``, as at every other
-    beta. Returns D, W, the trace and whether the value switched to
-    ``beta_divergence`` in a restart that began above its floor."""
+    """Reference restart: every term a fresh array. The value is recorded at
+    ``recorded_sweeps(opts.max_iter)``; it is taken in Gram form at beta 2
+    until it falls below its floor, and from then on as ``beta_divergence``,
+    as at every other beta. Returns D, W, the trace and whether the value
+    switched to ``beta_divergence`` in a restart that began above its floor."""
     tiny = np.finfo(float).tiny
     rng = np.random.default_rng([opts.seed, k, restart])
     D = rng.uniform(0.1, 1.1, size=(Z.shape[0], k))
@@ -192,33 +198,28 @@ def _restart_with_temporaries(Z, k, beta, opts, restart):
     D *= scale
     W *= scale
     gamma = {0.0: 0.5, 1.0: 1.0, 1.5: 1.0, 2.0: 1.0}[beta]  # the MM exponent
-    fast = beta in (1.0, 2.0)
+    gram = beta == 2
     switched = False
 
-    def objective(B):
-        nonlocal fast, switched
-        if fast and beta == 2:
+    def objective():
+        nonlocal gram, switched
+        if gram:
             # Gram form: 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>
             half_zz = 0.5 * float(np.einsum("ij,ij->", Z, Z))
             d = (half_zz - float(np.einsum("ij,ij->", D.T @ Z, W))
                  + 0.5 * float(np.einsum("ij,ij->", D.T @ D, W @ W.T)))
             if d >= factorize._GRAM_FLOOR * half_zz:
                 return d
-        elif fast:
-            # quotient form: sum(Z log(Z / B)) - sum(Z) + colsum(D) . rowsum(W)
-            sum_Z, sum_B = float(Z.sum()), float(D.sum(axis=0) @ W.sum(axis=1))
-            d = float(np.einsum("ij,ij->", Z, np.log(Z / B))) - sum_Z + sum_B
-            if d >= factorize._QUOTIENT_FLOOR * (sum_Z + sum_B):
-                return d
-        switched, fast = switched or fast, False
-        return beta_divergence(Z, B, beta)
+            switched, gram = True, False
+        return beta_divergence(Z, D @ W, beta)
 
     def power(B, p):
         return 1.0 / (B * B) if p == -2.0 else B ** p
 
-    B = D @ W
-    trace = [objective(B)]
-    for _ in range(opts.max_iter):
+    recorded = recorded_sweeps(opts.max_iter)
+    trace = [objective()]
+    for sweep in range(1, opts.max_iter + 1):
+        B = D @ W
         if beta == 2:
             D *= (Z @ W.T) / np.maximum(D @ (W @ W.T), tiny)
             W *= (D.T @ Z) / np.maximum((D.T @ D) @ W, tiny)
@@ -231,14 +232,14 @@ def _restart_with_temporaries(Z, k, beta, opts, restart):
             B = D @ W
             W *= ((D.T @ (power(B, beta - 2.0) * Z))
                   / np.maximum(D.T @ B ** (beta - 1.0), tiny)) ** gamma
-        B = D @ W
-        trace.append(objective(B))
+        if sweep in recorded:
+            trace.append(objective())
     return D, W, np.array(trace), switched
 
 
 def floor_crossing_basis():
-    """A rank-4 product plus noise, on which a k=4 fit falls below the
-    quotient and Gram floors within its first few sweeps."""
+    """A rank-4 product plus noise, on which a k=4 fit falls below the Gram
+    floor within its first few sweeps."""
     rng = np.random.default_rng(13)
     return (rng.uniform(0.0, 1.0, (40, 4)) @ rng.uniform(0.0, 1.0, (4, 30))
             + rng.uniform(0.0, 0.5, (40, 30)))
@@ -246,13 +247,14 @@ def floor_crossing_basis():
 
 def _matches_temporaries(Z, beta, order) -> bool:
     """Assert that one restart on Z, in the given memory order, has the
-    reference's bits; return whether the reference left the fast form."""
+    reference's bits; return whether the reference left the Gram form."""
     from subtask_forge.factorize import _run_restart
 
     Z = np.asarray(Z, order=order)
     opts = NmfOptions(seed=5, restarts=1, max_iter=30, tol=0.0)
-    D, W, trace, _ = _run_restart(Z, 4, beta, opts, 0)
+    D, W, trace, sweeps, _ = _run_restart(Z, 4, beta, opts, 0)
     D_ref, W_ref, trace_ref, switched = _restart_with_temporaries(Z, 4, beta, opts, 0)
+    assert sweeps == 30
     assert D.tobytes() == D_ref.tobytes()
     assert W.tobytes() == W_ref.tobytes()
     assert trace.tobytes() == trace_ref.tobytes()
@@ -263,73 +265,45 @@ def _matches_temporaries(Z, beta, order) -> bool:
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_restart_work_arrays_match_temporaries(beta, order):
     # a solved basis is Fortran-ordered; CSV-read ones are C-ordered. This
-    # fit stays above the quotient and Gram floors for its 30 sweeps
+    # fit stays above the Gram floor for its 30 sweeps
     assert not _matches_temporaries(random_positive((40, 30), seed=13), beta, order)
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_restart_below_the_floors_matches_temporaries(beta, order):
-    # this fit leaves the quotient and Gram forms, so the exact phase and
-    # the switch into it are compared bit for bit too
-    assert _matches_temporaries(floor_crossing_basis(), beta, order)
+    # this fit falls low fast: at beta 2 it leaves the Gram form, so the
+    # exact phase and the switch into it are compared bit for bit too, and
+    # at beta 1 the exact terms are compared on small values
+    assert _matches_temporaries(floor_crossing_basis(), beta, order) == (beta == 2)
 
 
-def test_kl_guard_switches_once_and_keeps_the_exact_fit_floor(monkeypatch):
-    import subtask_forge.factorize as fz
-
-    forms = []  # per recorded value: True for the quotient form
-    objective = fz._objective
-
-    def recording(*args):
-        d, quotient = objective(*args)
-        forms.append(quotient)
-        return d, quotient
-
-    monkeypatch.setattr(fz, "_objective", recording)
+def test_kl_guard_switches_once_and_keeps_the_exact_fit_floor():
     rng = np.random.default_rng(1)
     Z = rng.uniform(0.0, 1.0, (20, 4)) @ rng.uniform(0.0, 1.0, (4, 16))
     F = nmf(Z, 4, 1.0, NmfOptions(seed=0, restarts=1, max_iter=20000, tol=1e-12))
-    switch = forms.index(False)
-    assert switch > 0 and not any(forms[switch:])
-    assert len(forms) == F.divergence_trace.size
     assert F.divergence_trace[-1] < 1e-25
 
 
-def test_kl_value_leaves_the_quotient_form_for_the_rest_of_the_restart(monkeypatch):
-    sums = []  # per recorded value: the sum_Z passed in, and the form returned
-    objective = factorize._objective
-
-    def recording(*args):
-        d, quotient = objective(*args)
-        sums.append((args[-1], quotient))
-        return d, quotient
-
-    monkeypatch.setattr(factorize, "_objective", recording)
-    rng = np.random.default_rng(1)
-    Z = rng.uniform(0.0, 1.0, (20, 4)) @ rng.uniform(0.0, 1.0, (4, 16))
-    nmf(Z, 4, 1.0, NmfOptions(seed=0, restarts=1, max_iter=400, tol=0.0))
-    switch = [quotient for _, quotient in sums].index(False)
-    assert switch > 0 and len(sums) > switch + 1
-    # past the floor the quotient form is no longer even tried: no divide and
-    # log over n x N that would only be thrown away
-    assert all(sum_Z is not None for sum_Z, _ in sums[:switch + 1])
-    assert all(sum_Z is None for sum_Z, _ in sums[switch + 1:])
+def assert_trace_prefix(F, full):
+    """F's recorded values equal ``full``'s at every sweep both recorded."""
+    mine = dict(zip(recorded_sweeps(F.iterations), F.divergence_trace))
+    theirs = dict(zip(recorded_sweeps(full.iterations), full.divergence_trace))
+    assert len(mine) == F.divergence_trace.size
+    shared = mine.keys() & theirs.keys()
+    assert 0 in shared
+    assert all(mine[s] == theirs[s] for s in shared)
 
 
 @pytest.mark.parametrize("basis,k", [("rooms_Z", 16), ("taxi_Z", 5)])
 def test_kl_trace_matches_beta_divergence(request, basis, k):
-    from subtask_forge.factorize import _QUOTIENT_FLOOR
-
     Z = request.getfixturevalue(basis)
     full = nmf(Z, k, 1.0, NmfOptions(seed=0, restarts=1, max_iter=40, tol=0.0))
     for sweeps in (0, 1, 10, 40):
         F = nmf(Z, k, 1.0, NmfOptions(seed=0, restarts=1, max_iter=sweeps, tol=0.0))
-        assert np.array_equal(F.divergence_trace, full.divergence_trace[:sweeps + 1])
-        B = F.D @ F.W
-        # above the floor, so every value of this trace is in quotient form
-        assert F.divergence >= _QUOTIENT_FLOOR * (Z.sum() + B.sum())
-        ref = beta_divergence(Z, B, 1.0)
+        assert F.iterations == sweeps
+        assert_trace_prefix(F, full)
+        ref = beta_divergence(Z, F.D @ F.W, 1.0)
         assert abs(F.divergence - ref) <= 1e-13 * ref
 
 
@@ -362,11 +336,69 @@ def test_frobenius_trace_matches_beta_divergence(request, basis, k):
     full = nmf(Z, k, 2.0, NmfOptions(seed=0, restarts=1, max_iter=40, tol=0.0))
     for sweeps in (0, 1, 10, 40):
         F = nmf(Z, k, 2.0, NmfOptions(seed=0, restarts=1, max_iter=sweeps, tol=0.0))
-        assert np.array_equal(F.divergence_trace, full.divergence_trace[:sweeps + 1])
+        assert F.iterations == sweeps
+        assert_trace_prefix(F, full)
         # above the floor, so every value of this trace is in Gram form
         assert F.divergence >= _GRAM_FLOOR * 0.5 * np.square(Z).sum()
         ref = beta_divergence(Z, F.D @ F.W, 2.0)
         assert abs(F.divergence - ref) <= 1e-13 * ref
+
+
+def test_values_are_recorded_every_m_sweeps_and_after_the_last():
+    m = factorize._VALUE_EVERY
+    Z = random_positive((20, 15), seed=6)
+    assert 2 * m < 25 < 3 * m
+
+    def fit(max_iter):
+        return nmf(Z, 4, 1.0, NmfOptions(seed=0, restarts=1, max_iter=max_iter, tol=0.0))
+
+    F = fit(25)
+    assert F.iterations == 25 and not F.converged
+    # one value each at sweeps 0, m, 2m and 25
+    assert F.divergence_trace.tolist() == [fit(s).divergence for s in (0, m, 2 * m, 25)]
+    start = fit(0)
+    assert start.iterations == 0 and start.divergence_trace.tolist() == [F.divergence_trace[0]]
+
+    # an exact rank-1 fit reaches its rounding floor, where the value stops
+    # falling, and stops by the rule at a recorded sweep
+    rng = np.random.default_rng(7)
+    Z = np.outer(rng.uniform(0.5, 2.0, 30), rng.uniform(0.5, 2.0, 20))
+    G = nmf(Z, 1, 1.0, NmfOptions(seed=0, restarts=1, max_iter=20000, tol=0.0))
+    assert G.converged and 0 < G.iterations < 20000 and G.iterations % m == 0
+    assert G.divergence_trace.size == G.iterations // m + 1
+    assert G.divergence_trace[-2] - G.divergence_trace[-1] <= 0
+
+
+def test_tol_bounds_the_mean_improvement_per_sweep_between_values():
+    from subtask_forge.factorize import _run_restart
+
+    m = factorize._VALUE_EVERY
+    Z = random_positive((12, 9), seed=8)
+    full = _run_restart(Z, 3, 1.0, NmfOptions(seed=0, max_iter=25 * m, tol=0.0), 0)[2]
+    assert full.size == 26
+    per_sweep = (full[:-1] - full[1:]) / (m * full[:-1])
+    tol = float(np.sqrt(per_sweep[3] * per_sweep[4]))  # between two steps' rates
+
+    def stops(i):  # the rule at the i-th recorded value, as --tol states it
+        return full[i - 1] - full[i] <= tol * m * full[i - 1]
+
+    stop = next(i for i in range(1, full.size) if stops(i))
+    assert stop >= 2  # some value before it did not stop the restart
+    trace, sweeps, converged = _run_restart(
+        Z, 3, 1.0, NmfOptions(seed=0, max_iter=25 * m, tol=tol), 0)[2:]
+    assert converged and sweeps == stop * m
+    assert trace.tobytes() == full[:stop + 1].tobytes()
+
+    # the last value may lie fewer than m sweeps after the one before it;
+    # the rule then scales tol by the sweeps between them, not by m
+    last = 4 * m + m // 2
+    short = _run_restart(Z, 3, 1.0, NmfOptions(seed=0, max_iter=last, tol=0.0), 0)[2]
+    rate = (short[-2] - short[-1]) / (short[-2] * (m // 2))
+    for factor, expected in ((1 + 1e-9, True), (1 - 1e-9, False)):
+        opts = NmfOptions(seed=0, max_iter=last, tol=rate * factor)
+        trace, sweeps, converged = _run_restart(Z, 3, 1.0, opts, 0)[2:]
+        assert (sweeps, converged) == (last, expected)
+        assert trace.tobytes() == short.tobytes()
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8), m=st.integers(2, 8),
