@@ -10,15 +10,14 @@ each task leans on each subtask.
 Minimization is by multiplicative updates with the majorization-minimization
 exponent, which never raises the value for the three named beta values, so
 a restart records it only at sweep 0, every ``_VALUE_EVERY`` sweeps and
-after its last sweep, and every recorded trace is non-increasing.
-Divergences are evaluated with cancellation-free per-entry terms so the
-traces are trustworthy at 1e-12 relative slack. At beta = 2 the value is
-taken in Gram form, 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>, from the
-products of the W update, while it lies above 2**-4 (0.5 ||Z||^2), with an
-error of at most about 8e-14 relative, and from the cancellation-free terms
-once it falls below. Above that floor a beta = 2 fit forms no n x N array
-at all: a restart's initial scale takes mean(D @ W) from the factors' sums,
-and the baseline divergence is summed over row blocks of Z.
+after its last sweep, and every recorded trace is non-increasing. Every
+value, the baseline d_beta(Z || mean(Z)) included, is one call of
+:func:`_value`: cancellation-free per-entry terms summed over row blocks of
+``_VALUE_ENTRIES`` entries, with D @ W formed one block at a time. So the
+traces are trustworthy at 1e-12 relative slack, and no value holds an
+n x N array. A beta = 2 fit forms none at all: a restart's initial scale
+takes mean(D @ W) from the factors' sums, and its sweeps work with k x N
+and n x k products.
 
 Restarts are independent. A fit of more than one restart whose work,
 ``Z.size * max_iter`` entry-sweeps, reaches ``_SPLIT_MIN_WORK`` (2**18)
@@ -44,7 +43,7 @@ from .errors import FactorRankError, NonFiniteResultError
 from .lmdp_core import _is_int, _is_number, _json_field, _read_only
 from . import fileio
 
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -52,48 +51,58 @@ _TINY = np.finfo(float).tiny
 # ---------------------------------------------------------------------------
 
 
-def _omlp(t, num, den, scratch=None):
+def _omlp(t, num, den):
     """Pointwise t - log1p(t) for t = num / den - 1, the nonnegative kernel of
     the KL and IS terms.
 
-    Overwrites ``t`` with the result; log1p(t) goes into ``scratch`` if given.
-    Where t < -0.5 the term is (r - 1) - log r with r = num / den formed
-    afresh on those entries only: t there has lost the low digits of r, and
-    rounds to -1 (log1p(-1) = -inf) once r falls below about 2**-53.
+    Overwrites ``t`` with the result. Where t < -0.5 the term is
+    (r - 1) - log r with r = num / den formed afresh on those entries only:
+    t there has lost the low digits of r, and rounds to -1 (log1p(-1) =
+    -inf) once r falls below about 2**-53.
     """
     low = np.less(t, -0.5)
     with np.errstate(divide="ignore"):  # t = -1 is among the entries redone below
-        np.subtract(t, np.log1p(t, out=scratch), out=t)
+        np.subtract(t, np.log1p(t), out=t)
     if low.any():
         r = num[low] / den[low]
         t[low] = (r - 1.0) - np.log(r)
     return t
 
 
-def _divergence(A, B, beta: float, s1=None, s2=None) -> float:
+def _divergence(A, B, beta: float) -> float:
     """Elementwise beta-divergence d_beta(A || B), summed over all entries.
 
     Nothing is checked here: A and B must be finite, nonnegative and of one
     shape, A strictly positive when beta <= 0 or beta = 1, and B strictly
-    positive when beta <= 1. ``s1`` and ``s2`` are optional work arrays of
-    A's shape that receive the elementwise terms (beta = 2 uses ``s1``
-    only); without them each term is a fresh array. Neither A nor B is
-    written.
+    positive when beta <= 1. Neither A nor B is written.
     """
     if beta == 2:
-        t = np.subtract(A, B, out=s1)
+        t = np.subtract(A, B)
         return float(0.5 * np.square(t, out=t).sum())
     if beta == 1:
-        t = np.subtract(B, A, out=s1)
+        t = np.subtract(B, A)
         np.divide(t, A, out=t)
-        return float(np.multiply(A, _omlp(t, B, A, s2), out=t).sum())
+        return float(np.multiply(A, _omlp(t, B, A), out=t).sum())
     if beta == 0:
-        t = np.subtract(A, B, out=s1)
-        return float(_omlp(np.divide(t, B, out=t), A, B, s2).sum())
+        t = np.subtract(A, B)
+        return float(_omlp(np.divide(t, B, out=t), A, B).sum())
     c = beta * (beta - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         term = (A ** beta + (beta - 1.0) * B ** beta - beta * A * B ** (beta - 1.0)) / c
     return float(term.sum())
+
+
+#: Entries per row block of a value: its terms are arrays of one block,
+#: never of Z's size.
+_VALUE_ENTRIES = 1 << 16
+
+
+def _value(Z, D, W, beta: float) -> float:
+    """d_beta(Z || D @ W), summed over row blocks of ``_VALUE_ENTRIES``
+    entries, each block's D[rows] @ W formed on its own."""
+    rows = max(1, _VALUE_ENTRIES // Z.shape[1])
+    return sum(_divergence(Z[i:i + rows], D[i:i + rows] @ W, beta)
+               for i in range(0, len(Z), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +119,17 @@ def _mu_exponent(beta: float) -> float:
     return 1.0 / (beta - 1.0)
 
 
-def _update_once(Z, D, W, B, beta, gamma, scratch):
+def _update_once(Z, D, W, B, beta, gamma):
     """One full sweep at beta != 2: update D in place, then W in place.
 
-    ``B`` holds ``D @ W`` on entry and again on exit, for the next sweep or
-    value. The beta = 1 update writes its quotient Z / B into ``scratch[0]``.
+    ``B`` is a work array of Z's shape; it holds no value between sweeps.
     """
-    if beta == 1:
-        Q = np.divide(Z, B, out=scratch[0])
-        D *= (Q @ W.T) / np.maximum(W.sum(axis=1)[None, :], _TINY)
-        np.divide(Z, np.matmul(D, W, out=B), out=Q)
-        W *= (D.T @ Q) / np.maximum(D.sum(axis=0)[:, None], _TINY)
+    np.matmul(D, W, out=B)
+    if beta == 1:  # B holds the quotient Z / (D @ W)
+        np.divide(Z, B, out=B)
+        D *= (B @ W.T) / np.maximum(W.sum(axis=1)[None, :], _TINY)
+        np.divide(Z, np.matmul(D, W, out=B), out=B)
+        W *= (D.T @ B) / np.maximum(D.sum(axis=0)[:, None], _TINY)
     else:
         num = (_power(B, beta - 2.0) * Z) @ W.T
         den = np.maximum(B ** (beta - 1.0) @ W.T, _TINY)
@@ -129,7 +138,6 @@ def _update_once(Z, D, W, B, beta, gamma, scratch):
         num = D.T @ (_power(B, beta - 2.0) * Z)
         den = np.maximum(D.T @ B ** (beta - 1.0), _TINY)
         W *= (num / den) ** gamma if gamma != 1.0 else num / den
-    np.matmul(D, W, out=B)
 
 
 def _power(B, p: float):
@@ -144,33 +152,12 @@ def _power(B, p: float):
 def _frobenius_sweep(Z, D, W, WWt):
     """One full beta = 2 sweep, D then W in place, given ``WWt`` = W @ W.T.
 
-    Returns D.T @ Z and D.T @ D, the products the W update formed, and the
-    new W @ W.T, which the next sweep's D update and the Gram-form objective
-    both use. None of them is n x N.
+    Returns the new W @ W.T, which the next sweep's D update uses. No
+    product it forms is n x N.
     """
     D *= (Z @ W.T) / np.maximum(D @ WWt, _TINY)
-    DtZ, DtD = D.T @ Z, D.T @ D
-    W *= DtZ / np.maximum(DtD @ W, _TINY)
-    return DtZ, DtD, W @ W.T
-
-
-#: The beta = 2 objective in Gram form cancels: its error was measured at
-#: most 23 eps (0.5 ||Z||^2), against a long-double reference, over 1715
-#: values of 13 bases (20 x 16 to 1600 x 1600: rooms, taxi, random and exact
-#: rank 4; k 2-64; up to 2000 sweeps); the median was 3 eps. A restart
-#: whose value falls below this fraction of 0.5 ||Z||^2 takes the
-#: cancellation-free terms from then on, which keeps the Gram form's error
-#: at or below 23 eps * 16, about 8e-14 relative: 2e-13 holds up to 56 eps.
-_GRAM_FLOOR = 2.0 ** -4
-
-
-def _gram_objective(half_zz, W, DtZ, DtD, WWt):
-    """0.5 ||Z - D W||^2 in Gram form, 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>,
-    from ``half_zz`` = 0.5 ||Z||^2 and the products :func:`_frobenius_sweep`
-    returns; None below the floor."""
-    d = (half_zz - float(np.einsum("ij,ij->", DtZ, W))
-         + 0.5 * float(np.einsum("ij,ij->", DtD, WWt)))
-    return d if d >= _GRAM_FLOOR * half_zz else None
+    W *= (D.T @ Z) / np.maximum((D.T @ D) @ W, _TINY)
+    return W @ W.T
 
 
 @dataclass(frozen=True)
@@ -231,14 +218,11 @@ def _run_restart(Z, k, beta, opts, restart):
 
     The stop rule compares consecutive values d_prev and d, taken s sweeps
     apart: the restart stops when d_prev - d <= opts.tol * s * d_prev, so
-    ``tol`` bounds the mean relative improvement per sweep. The value is
-    taken at beta 2 in Gram form from the products of the last sweep, with
-    no n x N array, until it falls below its floor; from then on, and at
-    every other beta, it is the cancellation-free :func:`_divergence` of
-    B = D @ W. At beta != 2 every sweep leaves B behind; at beta 2 the
-    switch makes B and one work array, and each value forms B. nmf hands in
-    a C-ordered Z, the order of B and the work arrays, so every elementwise
-    pass reads all three in step.
+    ``tol`` bounds the mean relative improvement per sweep. Each value is
+    :func:`_value` of the current factors, at every beta. A beta != 2 sweep
+    uses one work array of Z's shape; a beta = 2 sweep uses none. nmf hands
+    in a C-ordered Z, the order of the work array, so every elementwise
+    pass reads both in step.
     """
     rng = _restart_stream(opts.seed, k, restart)
     n, n_tasks = Z.shape
@@ -251,21 +235,14 @@ def _run_restart(Z, k, beta, opts, restart):
 
     # nmf has checked Z, and checks the fit for non-finite values at the end
     gamma = _mu_exponent(beta)
-    if beta == 2:  # B stays None while the Gram value holds
-        B, half_zz = None, 0.5 * float(np.einsum("ij,ij->", Z, Z))
-        DtZ, DtD, WWt = D.T @ Z, D.T @ D, W @ W.T
+    if beta == 2:
+        WWt = W @ W.T
     else:
-        B, scratch = D @ W, [np.empty(Z.shape) for _ in range(2 if beta == 1 else 0)]
+        B = np.empty(Z.shape)
     trace, last = [], 0
     for sweep in range(opts.max_iter + 1):  # returns at max_iter at the latest
         if sweep % _VALUE_EVERY == 0 or sweep == opts.max_iter:
-            d = None if B is not None else _gram_objective(half_zz, W, DtZ, DtD, WWt)
-            if d is None:
-                if B is None:  # the Gram value fell below its floor
-                    B, scratch = np.empty(Z.shape), [np.empty(Z.shape)]
-                if beta == 2:  # a beta-2 sweep leaves no D @ W behind
-                    np.matmul(D, W, out=B)
-                d = _divergence(Z, B, beta, *scratch)
+            d = _value(Z, D, W, beta)
             stop = bool(trace) and (trace[-1] - d
                                     <= opts.tol * (sweep - last) * max(trace[-1], _TINY))
             trace.append(d)
@@ -273,26 +250,9 @@ def _run_restart(Z, k, beta, opts, restart):
                 return D, W, np.array(trace), sweep, stop
             last = sweep
         if beta == 2:
-            DtZ, DtD, WWt = _frobenius_sweep(Z, D, W, WWt)
+            WWt = _frobenius_sweep(Z, D, W, WWt)
         else:
-            _update_once(Z, D, W, B, beta, gamma, scratch)
-
-
-#: Entries per row block of the baseline divergence: its terms are arrays of
-#: one block, never of Z's size.
-_BASELINE_ENTRIES = 1 << 16
-
-
-def _baseline(Z, beta: float) -> float:
-    """d_beta(Z || mean(Z)), summed over row blocks of ``_BASELINE_ENTRIES``.
-
-    Z and its mean (a read-only view) are finite and positive, so no input
-    checks. At beta 1 or <= 0 an entry the scale flushed to zero makes the
-    value non-finite, which nmf raises.
-    """
-    mean, rows = Z.mean(), max(1, _BASELINE_ENTRIES // Z.shape[1])
-    blocks = (Z[i:i + rows] for i in range(0, len(Z), rows))
-    return sum(_divergence(A, np.broadcast_to(mean, A.shape), beta) for A in blocks)
+            _update_once(Z, D, W, B, beta, gamma)
 
 
 def _check_Z(Z) -> np.ndarray:
@@ -395,7 +355,9 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
     that claim: at beta 1.5, ``B ** (beta - 2)`` does not scale exactly, and
     D moved by up to 1e-15 relative. A fit that is still not finite raises
     :class:`NonFiniteResultError`, as does a fit scaled down at beta > 0
-    whose value fell below the smallest normal float while D @ W missed Z.
+    whose value fell below the smallest normal float while D @ W missed Z,
+    and a fit of a Z not constant whose baseline fell below it (a beta
+    whose terms underflow, such as 200 on entries below 1).
     """
     opts = opts or NmfOptions()
     Z = _check_Z(Z)
@@ -414,15 +376,18 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
     # an overflow anywhere in the fit shows as a non-finite result, raised below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         best, (D, W, trace, sweeps, converged) = _fit_restarts(Z, k, beta, opts)
+        # d_beta(Z || mean(Z)): a k = 1 product of Z's mean and ones is exact
+        baseline = _value(Z, np.full((len(Z), 1), Z.mean()), np.ones((1, Z.shape[1])), beta)
         # a value below the smallest normal float has lost its terms to
-        # underflow unless D @ W is Z, and scaling it back up by 4**(e * beta)
-        # would report what was lost as nothing
-        underflow = e * beta > 0 and trace[-1] < _TINY and not np.array_equal(D @ W, Z)
+        # underflow unless its two sides are equal, and reading it as it is,
+        # or scaled back up by 4**(e * beta), would report what was lost as
+        # nothing: the baseline's sides are equal only for a constant Z
+        underflow = (baseline < _TINY and Z.min() < Z.max()
+                     or e * beta > 0 and trace[-1] < _TINY and not np.array_equal(D @ W, Z))
 
         col_mass = np.maximum(D.sum(axis=0), _TINY)
         D = D / col_mass[None, :]
         W = W * col_mass[:, None]
-        baseline = _baseline(Z, beta)
         normalized = float(trace[-1]) / max(baseline, _TINY)
         if e:  # undo the scale: W times 4**e, divergences times 4**(e * beta)
             W = np.ldexp(W, 2 * e)

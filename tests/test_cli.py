@@ -514,6 +514,39 @@ def test_underflowed_frobenius_fit_exits_3(tmp_path):
     assert not (tmp_path / "f").exists()
 
 
+SMALL_ENTRIES = "4.9e-4,2.4e-2\n1e-3,5e-3\n"  # the span of a small rooms basis
+
+
+@pytest.mark.parametrize("entries,beta,code", [
+    (SMALL_ENTRIES, "50", 0),  # its baseline is 3.4e-84, a normal float
+    (SMALL_ENTRIES, "200", 3),  # every term underflows: each value read 0
+    (SMALL_ENTRIES, "1e308", 3),
+    ("0.5,0.5\n0.5,0.5\n", "200", 0),  # a constant Z's baseline is 0 exactly
+])
+def test_underflowing_beta_exits_3(tmp_path, entries, beta, code):
+    (tmp_path / "Z.csv").write_text("2,2\n" + entries)
+    result = runner.invoke(main, ["factor", str(tmp_path / "Z.csv"), str(tmp_path / "f"),
+                                  "--k", "1", "--beta", beta, "--restarts", "1"])
+    assert result.exit_code == code, result.output
+    if code:
+        assert "not finite" in result.stderr
+        assert not (tmp_path / "f").exists()
+    else:
+        assert read_json(tmp_path / "f" / "meta.json")["beta"] == float(beta)
+
+
+def test_exact_fit_exits_0_and_writes_converged_true(tmp_path):
+    # a 6 x 5 outer product of powers of two: the beta-2 value reaches 0, so
+    # the stop rule compares 0 with the smallest normal float, and converged
+    # must come out a JSON bool
+    rows = [",".join(repr(2.0 ** (i - j)) for j in range(5)) for i in range(6)]
+    (tmp_path / "Z.csv").write_text("6,5\n" + "\n".join(rows) + "\n")
+    run_ok("factor", tmp_path / "Z.csv", tmp_path / "f", "--k", "1", "--beta", "2",
+           "--tol", "0", "--max-iter", "2000", "--restarts", "1")
+    meta = read_json(tmp_path / "f" / "meta.json")
+    assert meta["converged"] is True and meta["divergence"] == 0.0
+
+
 def test_alpha_out_of_range_exits_2(ws, tmp_path):
     result = runner.invoke(main, ["hierarchy", str(ws["domain"]),
                                   str(tmp_path / "h"), "--ks", "4,2",

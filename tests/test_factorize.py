@@ -1,3 +1,4 @@
+import functools
 import os
 import time
 import tracemalloc
@@ -144,6 +145,16 @@ def test_nmf_rank1_exact():
         assert F.normalized_divergence <= 1e-12
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+def test_converged_is_a_python_bool(beta):
+    # at beta 2 this fit's value reaches 0, which the stop rule compares
+    # with the smallest normal float
+    Z = np.outer(2.0 ** np.arange(6), 2.0 ** -np.arange(5))
+    F = nmf(Z, 1, beta, NmfOptions(seed=0, restarts=1, max_iter=2000, tol=0.0))
+    assert type(F.converged) is bool and F.converged
+    assert beta != 2 or F.divergence == 0.0
+
+
 def test_nmf_shapes_and_normalization():
     Z = random_positive((12, 9), seed=8)
     F = nmf(Z, 3, 1.0, NmfOptions(seed=0, restarts=2, max_iter=100))
@@ -185,11 +196,9 @@ def recorded_sweeps(max_iter):
 
 
 def _restart_with_temporaries(Z, k, beta, opts, restart):
-    """Reference restart: every term a fresh array. The value is recorded at
-    ``recorded_sweeps(opts.max_iter)``; it is taken in Gram form at beta 2
-    until it falls below its floor, and from then on as ``beta_divergence``,
-    as at every other beta. Returns D, W, the trace and whether the value
-    switched to ``beta_divergence`` in a restart that began above its floor."""
+    """Reference restart: every term a fresh array, and the value
+    ``beta_divergence`` of the whole product, recorded at
+    ``recorded_sweeps(opts.max_iter)``. Returns D, W and the trace."""
     tiny = np.finfo(float).tiny
     rng = np.random.default_rng([opts.seed, k, restart])
     D = rng.uniform(0.1, 1.1, size=(Z.shape[0], k))
@@ -198,26 +207,12 @@ def _restart_with_temporaries(Z, k, beta, opts, restart):
     D *= scale
     W *= scale
     gamma = {0.0: 0.5, 1.0: 1.0, 1.5: 1.0, 2.0: 1.0}[beta]  # the MM exponent
-    gram = beta == 2
-    switched = False
-
-    def objective():
-        nonlocal gram, switched
-        if gram:
-            # Gram form: 0.5 ||Z||^2 - <D.T Z, W> + 0.5 <D.T D, W W.T>
-            half_zz = 0.5 * float(np.einsum("ij,ij->", Z, Z))
-            d = (half_zz - float(np.einsum("ij,ij->", D.T @ Z, W))
-                 + 0.5 * float(np.einsum("ij,ij->", D.T @ D, W @ W.T)))
-            if d >= factorize._GRAM_FLOOR * half_zz:
-                return d
-            switched, gram = True, False
-        return beta_divergence(Z, D @ W, beta)
 
     def power(B, p):
         return 1.0 / (B * B) if p == -2.0 else B ** p
 
     recorded = recorded_sweeps(opts.max_iter)
-    trace = [objective()]
+    trace = [beta_divergence(Z, D @ W, beta)]
     for sweep in range(1, opts.max_iter + 1):
         B = D @ W
         if beta == 2:
@@ -233,55 +228,56 @@ def _restart_with_temporaries(Z, k, beta, opts, restart):
             W *= ((D.T @ (power(B, beta - 2.0) * Z))
                   / np.maximum(D.T @ B ** (beta - 1.0), tiny)) ** gamma
         if sweep in recorded:
-            trace.append(objective())
-    return D, W, np.array(trace), switched
+            trace.append(beta_divergence(Z, D @ W, beta))
+    return D, W, np.array(trace)
 
 
 def floor_crossing_basis():
-    """A rank-4 product plus noise, on which a k=4 fit falls below the Gram
-    floor within its first few sweeps."""
+    """A rank-4 product plus noise, on which a k=4 fit falls low (below
+    2**-4 of its initial beta-2 value) within its first few sweeps."""
     rng = np.random.default_rng(13)
     return (rng.uniform(0.0, 1.0, (40, 4)) @ rng.uniform(0.0, 1.0, (4, 30))
             + rng.uniform(0.0, 0.5, (40, 30)))
 
 
-def _matches_temporaries(Z, beta, order) -> bool:
+def _matches_temporaries(Z, beta, order):
     """Assert that one restart on Z, in the given memory order, has the
-    reference's bits; return whether the reference left the Gram form."""
+    reference's bits. Z is one block of the value, so the value's sum runs
+    as the reference's does."""
     from subtask_forge.factorize import _run_restart
 
+    assert Z.size <= factorize._VALUE_ENTRIES
     Z = np.asarray(Z, order=order)
     opts = NmfOptions(seed=5, restarts=1, max_iter=30, tol=0.0)
     D, W, trace, sweeps, _ = _run_restart(Z, 4, beta, opts, 0)
-    D_ref, W_ref, trace_ref, switched = _restart_with_temporaries(Z, 4, beta, opts, 0)
+    D_ref, W_ref, trace_ref = _restart_with_temporaries(Z, 4, beta, opts, 0)
     assert sweeps == 30
     assert D.tobytes() == D_ref.tobytes()
     assert W.tobytes() == W_ref.tobytes()
     assert trace.tobytes() == trace_ref.tobytes()
-    return switched
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, 2.0])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_restart_work_arrays_match_temporaries(beta, order):
-    # a solved basis is Fortran-ordered; CSV-read ones are C-ordered. This
-    # fit stays above the Gram floor for its 30 sweeps
-    assert not _matches_temporaries(random_positive((40, 30), seed=13), beta, order)
+    # a solved basis is Fortran-ordered; CSV-read ones are C-ordered
+    _matches_temporaries(random_positive((40, 30), seed=13), beta, order)
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_restart_below_the_floors_matches_temporaries(beta, order):
-    # this fit falls low fast: at beta 2 it leaves the Gram form, so the
-    # exact phase and the switch into it are compared bit for bit too, and
-    # at beta 1 the exact terms are compared on small values
-    assert _matches_temporaries(floor_crossing_basis(), beta, order) == (beta == 2)
+    # this fit falls low fast, so small values are compared bit for bit too
+    _matches_temporaries(floor_crossing_basis(), beta, order)
 
 
-def test_kl_guard_switches_once_and_keeps_the_exact_fit_floor():
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_exact_fit_falls_below_1e_25(beta):
+    # the value's terms are cancellation-free, so an exact fit's value is not
+    # held up at a cancellation floor
     rng = np.random.default_rng(1)
     Z = rng.uniform(0.0, 1.0, (20, 4)) @ rng.uniform(0.0, 1.0, (4, 16))
-    F = nmf(Z, 4, 1.0, NmfOptions(seed=0, restarts=1, max_iter=20000, tol=1e-12))
+    F = nmf(Z, 4, beta, NmfOptions(seed=0, restarts=1, max_iter=20000, tol=1e-12))
     assert F.divergence_trace[-1] < 1e-25
 
 
@@ -295,52 +291,17 @@ def assert_trace_prefix(F, full):
     assert all(mine[s] == theirs[s] for s in shared)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
 @pytest.mark.parametrize("basis,k", [("rooms_Z", 16), ("taxi_Z", 5)])
-def test_kl_trace_matches_beta_divergence(request, basis, k):
+def test_trace_matches_beta_divergence(request, basis, k, beta):
+    # rooms' 400 x 400 basis spans three row blocks of the value, taxi's one
     Z = request.getfixturevalue(basis)
-    full = nmf(Z, k, 1.0, NmfOptions(seed=0, restarts=1, max_iter=40, tol=0.0))
+    full = nmf(Z, k, beta, NmfOptions(seed=0, restarts=1, max_iter=40, tol=0.0))
     for sweeps in (0, 1, 10, 40):
-        F = nmf(Z, k, 1.0, NmfOptions(seed=0, restarts=1, max_iter=sweeps, tol=0.0))
+        F = nmf(Z, k, beta, NmfOptions(seed=0, restarts=1, max_iter=sweeps, tol=0.0))
         assert F.iterations == sweeps
         assert_trace_prefix(F, full)
-        ref = beta_divergence(Z, F.D @ F.W, 1.0)
-        assert abs(F.divergence - ref) <= 1e-13 * ref
-
-
-def test_gram_guard_switches_once_and_keeps_the_exact_fit_floor(monkeypatch):
-    import subtask_forge.factorize as fz
-
-    forms = []  # per Gram-form evaluation: False once it fell below the floor
-    objective = fz._gram_objective
-
-    def recording(*args):
-        d = objective(*args)
-        forms.append(d is not None)
-        return d
-
-    monkeypatch.setattr(fz, "_gram_objective", recording)
-    rng = np.random.default_rng(1)
-    Z = rng.uniform(0.0, 1.0, (20, 4)) @ rng.uniform(0.0, 1.0, (4, 16))
-    F = nmf(Z, 4, 2.0, NmfOptions(seed=0, restarts=1, max_iter=20000, tol=1e-12))
-    switch = forms.index(False)
-    assert switch > 0 and switch == len(forms) - 1  # never evaluated again
-    assert F.divergence_trace.size > switch + 1  # the values from the switch on are exact
-    assert F.divergence_trace[-1] < 1e-25
-
-
-@pytest.mark.parametrize("basis,k", [("rooms_Z", 16), ("taxi_Z", 5)])
-def test_frobenius_trace_matches_beta_divergence(request, basis, k):
-    from subtask_forge.factorize import _GRAM_FLOOR
-
-    Z = request.getfixturevalue(basis)
-    full = nmf(Z, k, 2.0, NmfOptions(seed=0, restarts=1, max_iter=40, tol=0.0))
-    for sweeps in (0, 1, 10, 40):
-        F = nmf(Z, k, 2.0, NmfOptions(seed=0, restarts=1, max_iter=sweeps, tol=0.0))
-        assert F.iterations == sweeps
-        assert_trace_prefix(F, full)
-        # above the floor, so every value of this trace is in Gram form
-        assert F.divergence >= _GRAM_FLOOR * 0.5 * np.square(Z).sum()
-        ref = beta_divergence(Z, F.D @ F.W, 2.0)
+        ref = beta_divergence(Z, F.D @ F.W, beta)
         assert abs(F.divergence - ref) <= 1e-13 * ref
 
 
@@ -477,18 +438,50 @@ def test_scaling_Z_by_a_power_of_4_scales_the_fit_exactly(beta, seed, n, m, e, d
     assert F.normalized_divergence == F0.normalized_divergence
 
 
-def test_frobenius_fit_forms_no_basis_sized_array():
-    # rooms 8x8x5, the large-io basis: 1600 x 1600, 20 MB; the initial
-    # scale's D @ W and the baseline's Z - mean were each an array of Z's size
-    Z = solve_task_basis(benchmark_rooms(8, 8, 5))
+@functools.cache
+def large_io_basis():
+    """rooms 8x8x5, the large-io basis: 1600 x 1600, 20 MB."""
+    return solve_task_basis(benchmark_rooms(8, 8, 5))
+
+
+def fit_peak(Z, k, beta, max_iter):
+    """(F, traced peak of a one-restart fit at tol 0, in Z-sizes)."""
     tracemalloc.start()
     try:
-        F = nmf(Z, 64, 2.0, NmfOptions(seed=0, restarts=1, max_iter=5, tol=0.0))
+        F = nmf(Z, k, beta, NmfOptions(seed=0, restarts=1, max_iter=max_iter, tol=0.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert F.iterations == 5
-    assert peak <= 0.35 * Z.nbytes, f"peak {peak / Z.nbytes:.2f} x Z.nbytes"
+    assert F.iterations == max_iter
+    return F, peak / Z.nbytes
+
+
+def test_frobenius_fit_forms_no_basis_sized_array():
+    # the initial scale's D @ W and the baseline's Z - mean were each an
+    # array of Z's size
+    _, peak = fit_peak(large_io_basis(), 64, 2.0, 5)
+    assert peak <= 0.35, f"peak {peak:.2f} x Z.nbytes"
+
+
+def planted_rank_4():
+    rng = np.random.default_rng(3)
+    return rng.uniform(0.0, 1.0, (400, 4)) @ rng.uniform(0.0, 1.0, (4, 400))
+
+
+@pytest.mark.parametrize("basis,k,beta,max_iter,bound", [
+    # one work array of Z's size and the transients of a sweep; the value
+    # forms D @ W one row block at a time
+    (large_io_basis, 64, 1.0, 5, 2.5),
+    (large_io_basis, 64, 0.0, 5, 2.5),
+    # a beta-2 fit whose value falls below 2**-4 of its start still forms
+    # no D @ W; the 400 x 400 basis holds 2.4 blocks of the value, which
+    # form 0.8 Z-sizes
+    (planted_rank_4, 4, 2.0, 200, 1.0),
+], ids=["kl", "itakura-saito", "frobenius-falls-low"])
+def test_fit_peak_stays_within_its_z_sizes(basis, k, beta, max_iter, bound):
+    F, peak = fit_peak(basis(), k, beta, max_iter)
+    assert beta != 2 or F.divergence_trace[-1] < 2.0 ** -4 * F.divergence_trace[0]
+    assert peak <= bound, f"peak {peak:.2f} x Z.nbytes"
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])

@@ -9,7 +9,8 @@ command that reads it, in process through click's CliRunner:
 - an LMDP JSON (the output of 'build') with one top-level field replaced,
   read by 'solve';
 - a matrix CSV (the output of 'solve') with its header, a row length, one
-  token or its line structure changed, read by 'factor';
+  token or its line structure changed, read by 'factor' at a drawn
+  ``--beta``;
 - a factorization directory (the output of 'factor') with one meta.json
   field or one D/W cell replaced, read by 'analyze' in each mode and by
   'render'; a meta.json holding NaN or Infinity must exit 2.
@@ -144,9 +145,16 @@ def test_solve_on_mutated_lmdp_json(field, value):
         run_cli(["solve", path, Path(tmp) / "Z.csv"], tmp, {path})
 
 
-def _csv_lines():
-    rows = [[f"{1.0 + 0.1 * (i + j) + 0.01 * i * j!r}" for j in range(5)] for i in range(6)]
+def _csv_lines(scale=1.0):
+    rows = [[f"{scale * (1.0 + 0.1 * (i + j) + 0.01 * i * j)!r}" for j in range(5)]
+            for i in range(6)]
     return ["6,5"] + [",".join(r) for r in rows]
+
+
+#: Entries from 0.01 to 0.021: at beta 200 every term underflows.
+SMALL_CSV = "\n".join(_csv_lines(0.01)) + "\n"
+BETAS = st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                  st.floats(allow_nan=True, allow_infinity=True))
 
 
 TOKENS = st.one_of(
@@ -188,12 +196,14 @@ def mutated_csv(draw):
 
 
 @FUZZ
-@given(text=mutated_csv())
-def test_factor_on_mutated_matrix_csv(text):
+@given(text=mutated_csv(), beta=BETAS)
+@example(text=SMALL_CSV, beta=200.0)
+@example(text=SMALL_CSV, beta=1e308)
+def test_factor_on_mutated_matrix_csv(text, beta):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "Z.csv"
         path.write_bytes(text.encode())
-        run_cli(["factor", path, Path(tmp) / "fact", "--k", 2,
+        run_cli(["factor", path, Path(tmp) / "fact", "--k", 2, "--beta", repr(beta),
                  "--restarts", 1, "--max-iter", 5], tmp, {path})
 
 
