@@ -19,16 +19,15 @@ n x N array. A beta = 2 fit forms none at all: a restart's initial scale
 takes mean(D @ W) from the factors' sums, and its sweeps work with k x N
 and n x k products.
 
-Restarts are independent. A fit of more than one restart whose work,
-``Z.size * max_iter`` entry-sweeps, reaches ``_SPLIT_MIN_WORK`` (2**18)
-runs BLAS at one thread, and a forked child fits the second half of its
-restarts while this process fits the first, when the process may run on
-more than one CPU. Should the fork or the child fail, this process fits
-that half too. Without an OpenBLAS thread setter among the loaded
-libraries every restart runs here, at the default BLAS thread count;
-single-restart and smaller fits run here at that count too. OpenBLAS's
-products give the same bits at one thread as at two, so every fit has the
-same bits on one CPU as on two.
+Every fit runs BLAS at one thread (:func:`fileio.one_blas_thread`):
+OpenBLAS's products round by its thread count, so a fit's bits would
+otherwise hang on the CPU count. Restarts are independent. When a fit of
+more than one restart has work, ``Z.size * max_iter`` entry-sweeps, of at
+least ``_SPLIT_MIN_WORK`` (2**18) and the process may run on more than one
+CPU, a forked child fits the second half of its restarts while this
+process fits the first. Should the fork or the child fail, this process
+fits that half too. Without an OpenBLAS thread setter among the loaded
+libraries every restart runs here, at the default BLAS thread count.
 """
 
 from __future__ import annotations
@@ -119,25 +118,32 @@ def _mu_exponent(beta: float) -> float:
     return 1.0 / (beta - 1.0)
 
 
-def _update_once(Z, D, W, B, beta, gamma):
-    """One full sweep at beta != 2: update D in place, then W in place.
+def _update_once(Z, D, W, B, beta):
+    """One full sweep: update D in place, then W in place.
 
-    ``B`` is a work array of Z's shape; it holds no value between sweeps.
+    At beta = 2 ``B`` is None and no product is n x N: the sweep forms
+    D @ (W @ W.T) and (D.T @ D) @ W. At any other beta ``B`` is a work
+    array of Z's shape; it holds no value between sweeps.
     """
+    if beta == 2:
+        D *= (Z @ W.T) / np.maximum(D @ (W @ W.T), _TINY)
+        W *= (D.T @ Z) / np.maximum((D.T @ D) @ W, _TINY)
+        return
     np.matmul(D, W, out=B)
     if beta == 1:  # B holds the quotient Z / (D @ W)
         np.divide(Z, B, out=B)
         D *= (B @ W.T) / np.maximum(W.sum(axis=1)[None, :], _TINY)
         np.divide(Z, np.matmul(D, W, out=B), out=B)
         W *= (D.T @ B) / np.maximum(D.sum(axis=0)[:, None], _TINY)
-    else:
-        num = (_power(B, beta - 2.0) * Z) @ W.T
-        den = np.maximum(B ** (beta - 1.0) @ W.T, _TINY)
-        D *= (num / den) ** gamma if gamma != 1.0 else num / den
-        np.matmul(D, W, out=B)
-        num = D.T @ (_power(B, beta - 2.0) * Z)
-        den = np.maximum(D.T @ B ** (beta - 1.0), _TINY)
-        W *= (num / den) ** gamma if gamma != 1.0 else num / den
+        return
+    gamma = _mu_exponent(beta)
+    num = (_power(B, beta - 2.0) * Z) @ W.T
+    den = np.maximum(B ** (beta - 1.0) @ W.T, _TINY)
+    D *= (num / den) ** gamma if gamma != 1.0 else num / den
+    np.matmul(D, W, out=B)
+    num = D.T @ (_power(B, beta - 2.0) * Z)
+    den = np.maximum(D.T @ B ** (beta - 1.0), _TINY)
+    W *= (num / den) ** gamma if gamma != 1.0 else num / den
 
 
 def _power(B, p: float):
@@ -147,17 +153,6 @@ def _power(B, p: float):
         return B ** p
     t = np.square(B)
     return np.reciprocal(t, out=t)
-
-
-def _frobenius_sweep(Z, D, W, WWt):
-    """One full beta = 2 sweep, D then W in place, given ``WWt`` = W @ W.T.
-
-    Returns the new W @ W.T, which the next sweep's D update uses. No
-    product it forms is n x N.
-    """
-    D *= (Z @ W.T) / np.maximum(D @ WWt, _TINY)
-    W *= (D.T @ Z) / np.maximum((D.T @ D) @ W, _TINY)
-    return W @ W.T
 
 
 @dataclass(frozen=True)
@@ -234,11 +229,7 @@ def _run_restart(Z, k, beta, opts, restart):
     W *= scale
 
     # nmf has checked Z, and checks the fit for non-finite values at the end
-    gamma = _mu_exponent(beta)
-    if beta == 2:
-        WWt = W @ W.T
-    else:
-        B = np.empty(Z.shape)
+    B = None if beta == 2 else np.empty(Z.shape)
     trace, last = [], 0
     for sweep in range(opts.max_iter + 1):  # returns at max_iter at the latest
         if sweep % _VALUE_EVERY == 0 or sweep == opts.max_iter:
@@ -249,10 +240,7 @@ def _run_restart(Z, k, beta, opts, restart):
             if stop or sweep == opts.max_iter:
                 return D, W, np.array(trace), sweep, stop
             last = sweep
-        if beta == 2:
-            WWt = _frobenius_sweep(Z, D, W, WWt)
-        else:
-            _update_once(Z, D, W, B, beta, gamma)
+        _update_once(Z, D, W, B, beta)
 
 
 def _check_Z(Z) -> np.ndarray:
@@ -260,8 +248,12 @@ def _check_Z(Z) -> np.ndarray:
     if Z.ndim != 2 or min(Z.shape) < 1:
         raise ValueError(f"Z must be a nonempty 2-D matrix, got shape {Z.shape}")
     # reductions, not n x N masks; a NaN fails the first comparison
-    if not (Z.min() > 0 and Z.max() < np.inf):
+    lo, hi = Z.min(), Z.max()
+    if not (lo > 0 and hi < np.inf):
         raise ValueError("Z entries must be finite and strictly positive")
+    if lo == hi:
+        raise ValueError(f"Z is constant (every entry {float(lo)!r}), so d_beta(Z || mean(Z)), "
+                         "which normalizes the divergence, is 0")
     return Z
 
 
@@ -314,18 +306,17 @@ _SPLIT_MIN_WORK = 1 << 18
 
 
 def _fit_restarts(Z, k, beta, opts):
-    """(r, run) of the best of ``opts.restarts`` restarts, as the module
-    docstring says: a multi-restart fit of at least ``_SPLIT_MIN_WORK``
-    runs at one BLAS thread, its second half fitted by a forked child
+    """(r, run) of the best of ``opts.restarts`` restarts, fitted at one
+    BLAS thread, as the module docstring says: a multi-restart fit of at
+    least ``_SPLIT_MIN_WORK`` has its second half fitted by a forked child
     through :func:`fileio.split_work`, which refits that half here should
     the child fail.
     """
-    if opts.restarts < 2 or Z.size * opts.max_iter < _SPLIT_MIN_WORK:
-        return _best_of(Z, k, beta, opts, range(opts.restarts))
-    half = (opts.restarts + 1) // 2
     with fileio.one_blas_thread() as one_thread:
-        if not (one_thread and fileio._spare_cpu()):
+        if not (opts.restarts > 1 and Z.size * opts.max_iter >= _SPLIT_MIN_WORK
+                and one_thread and fileio._spare_cpu()):
             return _best_of(Z, k, beta, opts, range(opts.restarts))
+        half = (opts.restarts + 1) // 2
         halves = fileio.split_work(
             functools.partial(_best_of, Z, k, beta, opts, range(half)),
             functools.partial(_best_of, Z, k, beta, opts, range(half, opts.restarts)))
@@ -356,8 +347,9 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
     D moved by up to 1e-15 relative. A fit that is still not finite raises
     :class:`NonFiniteResultError`, as does a fit scaled down at beta > 0
     whose value fell below the smallest normal float while D @ W missed Z,
-    and a fit of a Z not constant whose baseline fell below it (a beta
-    whose terms underflow, such as 200 on entries below 1).
+    and a fit whose baseline fell below it (a beta whose terms underflow,
+    such as 200 on entries below 1). A constant Z, whose baseline is 0,
+    raises ValueError.
     """
     opts = opts or NmfOptions()
     Z = _check_Z(Z)
@@ -381,8 +373,8 @@ def nmf(Z, k: int, beta: float = 1.0, opts: NmfOptions | None = None) -> Factori
         # a value below the smallest normal float has lost its terms to
         # underflow unless its two sides are equal, and reading it as it is,
         # or scaled back up by 4**(e * beta), would report what was lost as
-        # nothing: the baseline's sides are equal only for a constant Z
-        underflow = (baseline < _TINY and Z.min() < Z.max()
+        # nothing: the baseline's sides are never equal, as Z is not constant
+        underflow = (baseline < _TINY
                      or e * beta > 0 and trace[-1] < _TINY and not np.array_equal(D @ W, Z))
 
         col_mass = np.maximum(D.sum(axis=0), _TINY)

@@ -177,12 +177,14 @@ def _blas_threads():
 def one_blas_thread():
     """Run the body with the loaded OpenBLAS at one thread; yields whether it is.
 
-    OpenBLAS splits some kernels (the LU behind ``np.linalg.inv``) by its
-    thread count, and their bits with them, so a result computed here has
-    the same bits on any number of CPUs. Two split processes at two threads
-    each would also oversubscribe two cores. Without a thread setter among
-    the loaded libraries the body runs at the default count and this yields
-    False. The count is restored on every path.
+    OpenBLAS splits its LU (behind ``np.linalg.inv``) and its matrix
+    products by its thread count, and their bits with them, so a result
+    computed here has the same bits on any number of CPUs: every dense
+    solve, every NMF fit and a derived level's products run here. Two split
+    processes at two threads each would also oversubscribe two cores.
+    Without a thread setter among the loaded libraries the body runs at the
+    default count and this yields False. The count is restored on every
+    path.
     """
     threads = _blas_threads()
     if threads is None:

@@ -115,7 +115,9 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
     solve = _lu_of_i_minus(layer.scaled_ii, lambda: (
         "absorption system is singular; augmented dynamics leak probability"))
     hit = solve(np.hstack([layer.alpha * layer.d_hat, layer.scaled_bi.toarray().T]))
-    P_next = hit.T @ layer.d_hat
+    with fileio.one_blas_thread():  # products round by the thread count
+        P_next = hit.T @ layer.d_hat
+        r_next = layer.d_hat.T @ layer.base.r_interior
     sums = P_next.sum(axis=0)
     if np.any(np.abs(sums - 1.0) > ABSORPTION_TOL) or not np.all(np.isfinite(P_next)):
         worst = float(np.abs(sums - 1.0).max())
@@ -130,7 +132,7 @@ def derive_higher_layer(layer: SubtaskLayer) -> Lmdp:
     if base_labels is not None:
         labels = tuple(f"subtask({t})" for t in range(k)) + base_labels[n:]
     return Lmdp(k, n_b, P_next[:k, :], P_next[k:, :],
-                layer.d_hat.T @ layer.base.r_interior, layer.base.lam, labels)
+                r_next, layer.base.lam, labels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -107,6 +107,22 @@ def equal_dynamics(a, b) -> bool:
                for ma, mb in ((a.P_ii, b.P_ii), (a.P_bi, b.P_bi)))
 
 
+def at_blas_threads(call) -> list:
+    """``call()`` run with the loaded OpenBLAS at 3, 2 and 1 threads in
+    turn; the count it had is restored after."""
+    get_threads, set_threads = fileio._blas_threads()
+    before = get_threads()
+    results = []
+    try:
+        for threads in (3, 2, 1):
+            set_threads(threads)
+            results.append(call())
+            assert get_threads() == threads
+    finally:
+        set_threads(before)
+    return results
+
+
 def singular_on_both_solvers(call) -> tuple[str, str]:
     """The SingularSystemError messages of ``call()`` on the dense solve and
     on scipy's ``splu``, forced by a size constant of 0."""

@@ -521,7 +521,7 @@ SMALL_ENTRIES = "4.9e-4,2.4e-2\n1e-3,5e-3\n"  # the span of a small rooms basis
     (SMALL_ENTRIES, "50", 0),  # its baseline is 3.4e-84, a normal float
     (SMALL_ENTRIES, "200", 3),  # every term underflows: each value read 0
     (SMALL_ENTRIES, "1e308", 3),
-    ("0.5,0.5\n0.5,0.5\n", "200", 0),  # a constant Z's baseline is 0 exactly
+    ("0.5,0.5\n0.5,0.5\n", "200", 2),  # a constant Z's baseline is 0 exactly
 ])
 def test_underflowing_beta_exits_3(tmp_path, entries, beta, code):
     (tmp_path / "Z.csv").write_text("2,2\n" + entries)
@@ -529,10 +529,27 @@ def test_underflowing_beta_exits_3(tmp_path, entries, beta, code):
                                   "--k", "1", "--beta", beta, "--restarts", "1"])
     assert result.exit_code == code, result.output
     if code:
-        assert "not finite" in result.stderr
+        assert {2: "Z is constant", 3: "not finite"}[code] in result.stderr
         assert not (tmp_path / "f").exists()
     else:
         assert read_json(tmp_path / "f" / "meta.json")["beta"] == float(beta)
+
+
+@pytest.mark.parametrize("command,shape,args", [
+    ("factor", (2, 3), ["--k", "1"]),
+    ("select_k", (3, 3), ["--kmax", "3"]),
+], ids=["factor", "select_k"])
+def test_constant_basis_exits_2(tmp_path, command, shape, args):
+    # its baseline d(Z || mean(Z)) is 0: dividing by the smallest normal
+    # float instead reported normalized divergences near 1e276
+    rows, cols = shape
+    row = ",".join(["0.3"] * cols) + "\n"
+    (tmp_path / "Z.csv").write_text(f"{rows},{cols}\n" + row * rows)
+    result = runner.invoke(main, [command, str(tmp_path / "Z.csv"), str(tmp_path / "out"),
+                                  *args, "--beta", "0"])
+    assert result.exit_code == 2, result.output
+    assert "Z is constant" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_exact_fit_exits_0_and_writes_converged_true(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHILD_FAILURES, benchmark_rooms, inject, write_factorization
+from conftest import CHILD_FAILURES, at_blas_threads, benchmark_rooms, inject, write_factorization
 from reference import beta_divergence
 from subtask_forge import factorize, fileio
 from subtask_forge.errors import FactorRankError, NonFiniteResultError
@@ -233,8 +233,8 @@ def _restart_with_temporaries(Z, k, beta, opts, restart):
 
 
 def floor_crossing_basis():
-    """A rank-4 product plus noise, on which a k=4 fit falls low (below
-    2**-4 of its initial beta-2 value) within its first few sweeps."""
+    """A rank-4 product plus noise, on which a k=4 fit falls low within its
+    first few sweeps, so its small values are compared bit for bit too."""
     rng = np.random.default_rng(13)
     return (rng.uniform(0.0, 1.0, (40, 4)) @ rng.uniform(0.0, 1.0, (4, 30))
             + rng.uniform(0.0, 0.5, (40, 30)))
@@ -677,7 +677,7 @@ def test_fork_only_above_floor_with_restarts_and_a_spare_cpu(two_cpus, monkeypat
 
 
 @needs_blas_setter
-def test_blas_runs_at_one_thread_only_in_multi_restart_fits(two_cpus, monkeypatch):
+def test_blas_runs_at_one_thread_in_every_fit(two_cpus, monkeypatch):
     get_threads, set_threads = fileio._blas_threads()
     seen = []
     real_run = factorize._run_restart
@@ -693,11 +693,23 @@ def test_blas_runs_at_one_thread_only_in_multi_restart_fits(two_cpus, monkeypatc
         one_cpu_fit(monkeypatch, ABOVE_FLOOR, 3, SPLIT_OPTS)
         assert seen == [1] * SPLIT_OPTS.restarts and get_threads() == 3
         seen.clear()
+        nmf(ABOVE_FLOOR, 3, 1.0, SPLIT_OPTS)  # split: this process fits restarts 0-2
+        assert seen == [1] * 3 and len(two_cpus) == 1 and get_threads() == 3
+        seen.clear()
         nmf(ABOVE_FLOOR, 3, 1.0, NmfOptions(restarts=1, max_iter=2))
         nmf(ABOVE_FLOOR[:, :255], 3, 1.0, NmfOptions(restarts=2, max_iter=4))
-        assert seen == [3, 3, 3] and get_threads() == 3
+        assert seen == [1, 1, 1] and get_threads() == 3
     finally:
         set_threads(before)
+
+
+@needs_blas_setter
+def test_single_restart_fit_has_the_same_bits_at_any_blas_thread_count(rooms_Z):
+    # rooms 4x4x5 at k 16: OpenBLAS's products there round by the thread count
+    opts = NmfOptions(seed=1, restarts=1, max_iter=40, tol=0.0)
+    fits = at_blas_threads(lambda: nmf(rooms_Z, 16, 1.0, opts))
+    for F in fits[:2]:
+        assert_same_fit(F, fits[2])
 
 
 @needs_blas_setter

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    at_blas_threads,
     augmented_stacked,
     equal_dynamics,
     read_hierarchy,
@@ -24,7 +25,7 @@ from conftest import (
     write_hierarchy,
 )
 from reference import grounded_subtasks
-from subtask_forge import lmdp_core
+from subtask_forge import fileio, lmdp_core
 from subtask_forge.analysis import boundary_score
 from subtask_forge.domains import RingSpec, RoomsSpec, build_ring, build_rooms
 from subtask_forge.errors import AlphaRangeError, FactorRankError
@@ -320,6 +321,24 @@ def test_grounding_chain(small_hierarchy):
     assert np.allclose(G.sum(axis=0), 1.0, atol=1e-12)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         grounded_subtasks(H, 2)
+
+
+@pytest.mark.skipif(fileio._blas_threads() is None,
+                    reason="no OpenBLAS thread setter in this process")
+def test_hierarchy_has_the_same_bits_at_any_blas_thread_count(rooms_lmdp):
+    # level 0's fit splits; level 1's fit is below the split floor, and the
+    # derived levels' products lie outside any fit
+    opts = NmfOptions(seed=1, restarts=2, max_iter=50, tol=0.0)
+    stacks = at_blas_threads(lambda: build_hierarchy(rooms_lmdp, (16, 4), (0.1, 0.1), 1.0, opts))
+
+    def arrays(H):
+        lmdps = [layer.base for layer in H.layers[1:]] + [H.top]
+        return ([a for layer in H.layers for a in (layer.factorization.D, layer.factorization.W,
+                                                   layer.factorization.divergence_trace)]
+                + [a for L in lmdps for a in (L.P_ii.toarray(), L.P_bi.toarray(), L.r_interior)])
+
+    for H in stacks[:2]:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(H), arrays(stacks[2])))
 
 
 def test_hierarchy_schedule_validation():
